@@ -62,6 +62,7 @@ from .measures import (
 from .sampling import (
     RngStream,
     SampleRecord,
+    StateBatch,
     batch_sample,
     pattern_for_spectrum,
     sample_ball,
@@ -102,6 +103,7 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "Spectrum",
+    "StateBatch",
     "UnsupportedPatternError",
     "adjoint",
     "b_to_spherical",

@@ -7,7 +7,6 @@ check, 2 invalid input, 3 I/O failure.
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from .measures import (
     flag_volume,
     flag_volume_sz,
 )
-from .sampling import RngStream, SampleRecord, batch_sample, sample_interior_point
+from .sampling import RngStream, SampleRecord, StateBatch, batch_sample, sample_interior_point
 from .stats import cumulative_pairs, ks_two_sample
 
 EXIT_OK = 0
@@ -37,8 +36,6 @@ JACOBIAN_BOUND = 1e-4
 
 #: Maximum relative quadrature error accepted by check-euler.
 EULER_BOUND = 1e-9
-
-THREADS_ENV = "BURES_THREADS"
 
 
 class UsageError(BuresError):
@@ -57,7 +54,6 @@ class RunConfig:
     seed: int
     output_path: str
     format: str
-    zero_layers: bool = False
 
 
 def _parse_spectrum(text: str) -> Spectrum:
@@ -78,15 +74,6 @@ def _parse_spectrum(text: str) -> Spectrum:
         raise UsageError(str(exc)) from exc
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return None
-    return workers if workers >= 2 else None
-
-
 def _diag_labels(n: int) -> list:
     return [f"rho_{j}{j}" for j in range(1, n + 1)]
 
@@ -99,43 +86,40 @@ def _csv_header(n: int) -> list:
     return ["method", "index"] + _entry_labels("re", n) + _entry_labels("im", n) + _diag_labels(n)
 
 
-def _record_row(record: SampleRecord) -> list:
-    n = record.rho.n_levels
-    m = record.rho.matrix
-    cells = [record.method, str(record.index)]
-    cells += [f"{v:.17g}" for v in m.real.reshape(-1)]
-    cells += [f"{v:.17g}" for v in m.imag.reshape(-1)]
-    cells += [f"{record.observables[label]:.17g}" for label in _diag_labels(n)]
-    return cells
-
-
-def write_records_csv(records, path) -> None:
-    n = records[0].rho.n_levels
+def write_records_csv(batch: StateBatch, path) -> None:
+    """One header line, then per record: method, index, Re rho, Im rho (row-major), rho_jj."""
+    n = batch.n_levels
+    count = len(batch)
+    values = np.concatenate(
+        (batch.matrices.real.reshape(count, n * n), batch.matrices.imag.reshape(count, n * n), batch.diagonals),
+        axis=1,
+    )
+    row = f"{batch.method},%d," + ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_csv_header(n))
-        for record in records:
-            writer.writerow(_record_row(record))
+        handle.write(",".join(_csv_header(n)) + "\n")
+        for index, cells in zip(batch.indices, values):
+            handle.write(row % (index, *cells.tolist()))
 
 
-def write_records_jsonl(records, path) -> None:
+def write_records_jsonl(batch: StateBatch, path) -> None:
+    labels = _diag_labels(batch.n_levels)
     with open(path, "w") as handle:
-        for record in records:
+        for index, matrix, diagonal in zip(batch.indices, batch.matrices, batch.diagonals):
             payload = {
-                "method": record.method,
-                "index": record.index,
-                "re": record.rho.matrix.real.tolist(),
-                "im": record.rho.matrix.imag.tolist(),
-                "observables": record.observables,
+                "method": batch.method,
+                "index": index,
+                "re": matrix.real.tolist(),
+                "im": matrix.imag.tolist(),
+                "observables": dict(zip(labels, diagonal.tolist())),
             }
             handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def write_records(records, path, fmt: str) -> None:
+def write_records(batch: StateBatch, path, fmt: str) -> None:
     if fmt == "csv":
-        write_records_csv(records, path)
+        write_records_csv(batch, path)
     elif fmt == "jsonl":
-        write_records_jsonl(records, path)
+        write_records_jsonl(batch, path)
     else:
         raise UsageError(f"unknown format {fmt!r}")
 
@@ -200,31 +184,30 @@ def read_column(path, column: str) -> np.ndarray:
                     continue
                 payload = json.loads(line)
                 try:
-                    values.append(float(payload["observables"][column]))
+                    values.append(_cell_value(payload["observables"][column], column, path))
                 except KeyError as exc:
                     raise UsageError(f"column {column!r} not present in {path}") from exc
-        return np.array(values)
-    for row in _csv_rows(path):
-        if column not in row or row[column] is None:
-            raise UsageError(f"column {column!r} not present in {path}")
-        values.append(float(row[column]))
+    else:
+        for row in _csv_rows(path):
+            if column not in row or row[column] is None:
+                raise UsageError(f"column {column!r} not present in {path}")
+            values.append(_cell_value(row[column], column, path))
     if not values:
         raise UsageError(f"no data rows in {path}")
     return np.array(values)
 
 
+def _cell_value(cell, column: str, path) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"non-numeric value {cell!r} in column {column!r} of {path}") from exc
+
+
 def cmd_sample(cfg: RunConfig) -> int:
-    records = batch_sample(
-        cfg.method,
-        cfg.spectrum,
-        None,
-        cfg.count,
-        cfg.seed,
-        max_workers=_max_workers(),
-        zero_layers=cfg.zero_layers,
-    )
-    write_records(records, cfg.output_path, cfg.format)
-    print(f"wrote {len(records)} {cfg.method} records to {cfg.output_path}")
+    batch = batch_sample(cfg.method, cfg.spectrum, None, cfg.count, cfg.seed)
+    write_records(batch, cfg.output_path, cfg.format)
+    print(f"wrote {len(batch)} {cfg.method} records to {cfg.output_path}")
     return EXIT_OK
 
 
@@ -339,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("-o", "--output", required=True)
     p_sample.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sample.add_argument("--zero-layers", action="store_true", help=argparse.SUPPRESS)
 
     p_volume = sub.add_parser("volume", help="print ball and flag volumes for N levels")
     p_volume.add_argument("-n", "--levels", type=int, required=True)
@@ -382,7 +364,6 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 output_path=args.output,
                 format=args.format,
-                zero_layers=args.zero_layers,
             )
             return cmd_sample(cfg)
         if args.command == "volume":
@@ -419,3 +400,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

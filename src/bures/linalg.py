@@ -69,6 +69,21 @@ def qr_decompose(a) -> tuple[ComplexMatrix, ComplexMatrix]:
     return q, r
 
 
+def qr_decompose_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of every matrix in a finite (count, n, n) stack.
+
+    Unlike ``qr_decompose`` it does not raise on rank deficiency, so that one
+    bad matrix does not fail the stack: callers compare the diagonals of R
+    with PIVOT_FLOOR themselves.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or min(a.shape) < 1:
+        raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ShapeError("matrix entries must be finite")
+    return np.linalg.qr(a)
+
+
 def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 

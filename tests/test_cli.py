@@ -1,11 +1,17 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bures.cli import main, read_column, read_records
+from bures.cli import main, read_column, read_records, write_records
 from bures.measures import Spectrum, eigenvalue_density
+from bures.sampling import StateBatch, batch_from_charts, batch_sample
 
 SPEC3 = "0.5,0.375,0.125"
 
@@ -55,22 +61,67 @@ def test_sample_jsonl_round_trip_matches_csv(tmp_path):
 
 
 def test_sample_zero_layer_hook_writes_the_diagonal_model(tmp_path):
+    # all-zero chart coordinates through the batched kernel, written and read back
     out = tmp_path / "diag.csv"
-    code = main(
-        ["sample", "--spectrum", SPEC3, "--method", "coset", "--count", "1",
-         "--seed", "0", "-o", str(out), "--zero-layers"]
-    )
-    assert code == 0
+    spectrum = Spectrum([0.5, 0.375, 0.125])
+    write_records(batch_from_charts(spectrum, None, np.zeros((1, 2 + 4))), out, "csv")
     (record,) = read_records(out)
-    expected = np.diag(Spectrum([0.5, 0.375, 0.125]).ascending_diagonal())
+    expected = np.diag(spectrum.ascending_diagonal())
     assert np.array_equal(record.rho.matrix, expected)
 
 
-def test_sample_respects_thread_env(tmp_path, monkeypatch):
-    a = run_sample(tmp_path, "seq.csv")
-    monkeypatch.setenv("BURES_THREADS", "4")
-    b = run_sample(tmp_path, "par.csv")
-    assert a.read_bytes() == b.read_bytes()
+def legacy_csv_bytes(batch):
+    """The per-record csv.writer format the record files have always had."""
+    lines = []
+    writer = csv.writer(_Sink(lines), lineterminator="\n")
+    n = batch.n_levels
+    header = ["method", "index"]
+    header += [f"{p}_{j}_{k}" for p in ("re", "im") for j in range(1, n + 1) for k in range(1, n + 1)]
+    writer.writerow(header + [f"rho_{j}{j}" for j in range(1, n + 1)])
+    for index, m in enumerate(batch.matrices):
+        cells = [batch.method, str(index)]
+        cells += [f"{v:.17g}" for v in m.real.reshape(-1)]
+        cells += [f"{v:.17g}" for v in m.imag.reshape(-1)]
+        cells += [f"{float(m[j, j].real):.17g}" for j in range(n)]
+        writer.writerow(cells)
+    return "".join(lines).encode()
+
+
+def legacy_jsonl_bytes(batch):
+    """The per-record json.dumps format the record files have always had."""
+    out = []
+    for index, m in enumerate(batch.matrices):
+        payload = {
+            "method": batch.method,
+            "index": index,
+            "re": m.real.tolist(),
+            "im": m.imag.tolist(),
+            "observables": {f"rho_{j}{j}": float(m[j - 1, j - 1].real) for j in range(1, batch.n_levels + 1)},
+        }
+        out.append(json.dumps(payload, separators=(",", ":")) + "\n")
+    return "".join(out).encode()
+
+
+class _Sink:
+    def __init__(self, lines):
+        self.write = lines.append
+
+
+@pytest.mark.parametrize("method", ["coset", "haar"])
+def test_write_records_bytes_match_the_per_record_format(tmp_path, method):
+    sampled = batch_sample(method, Spectrum([0.7, 0.3, 0.0, 0.0]), None, 30, 9)
+    # a fixed stack with signed zeros, subnormals and short decimals in it
+    matrices = sampled.matrices.copy()
+    matrices[0, 0, 1] = complex(1e-300, -0.0)
+    matrices[1, 2, 3] = complex(-5e-324, 1.0 / 3.0)
+    matrices[2, 0, 0] = 0.1
+    matrices[3, 1, 1] = -0.0
+    diagonals = np.diagonal(matrices, axis1=1, axis2=2).real.copy()
+    batch = StateBatch(method, 9, sampled.spectrum, matrices, diagonals)
+    for fmt, legacy in (("csv", legacy_csv_bytes), ("jsonl", legacy_jsonl_bytes)):
+        out = tmp_path / f"{method}.{fmt}"
+        write_records(batch, out, fmt)
+        assert out.read_bytes() == legacy(batch)
 
 
 def test_sample_renormalizes_tiny_sum_error(tmp_path):
@@ -200,6 +251,47 @@ def test_compare_explicit_pairs_path(tmp_path):
     target = tmp_path / "custom_pairs.csv"
     assert main(["compare", str(out), str(out), "--pairs-out", str(target)]) == 0
     assert target.exists()
+
+
+def _write_text(name, text):
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    return make
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "make_file, argv, code, stdout_has",
+    [
+        # a non-numeric cell in the compared CSV column
+        (_write_text("bad.csv", "method,index,rho_33\ncoset,0,0.25\ncoset,1,abc\n"),
+         ["compare", "{f}", "{f}", "--column", "rho_33"], 2, None),
+        # an empty JSONL file has no data rows
+        (_write_text("empty.jsonl", ""), ["compare", "{f}", "{f}", "--column", "rho_33"], 2, None),
+        # the module runs as a script
+        (None, ["volume", "-n", "3"], 0, "flag_volume(3) = "),
+    ],
+    ids=["compare-non-numeric-csv", "compare-empty-jsonl", "module-volume"],
+)
+def test_cli_module_exit_codes(tmp_path, make_file, argv, code, stdout_has):
+    path = make_file(tmp_path) if make_file else None
+    args = [a.replace("{f}", path) if path else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bures.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert stdout_has in proc.stdout
+    else:
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 def test_read_column_matches_records(tmp_path):

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import bures.sampling
 from bures.coset import BallPoint, DegeneracyPattern, FlagChart
 from bures.errors import ShapeError, UnsupportedPatternError
 from bures.measures import Spectrum
 from bures.sampling import (
+    BLOCK_BYTES,
     RngStream,
+    batch_from_charts,
     batch_sample,
     pattern_for_spectrum,
     sample_ball,
     sample_flag_chart,
     sample_haar_unitary,
+    sample_chart_coords,
     sample_interior_point,
     sample_state_coset,
     sample_state_haar,
@@ -166,10 +170,7 @@ def test_methods_agree_on_all_diagonals(spectrum3):
     coset = batch_sample("coset", spectrum3, None, 1000, 1001)
     for j in (1, 2, 3):
         label = f"rho_{j}{j}"
-        result = ks_two_sample(
-            [r.observables[label] for r in haar],
-            [r.observables[label] for r in coset],
-        )
+        result = ks_two_sample(haar.diagonals[:, j - 1], coset.diagonals[:, j - 1])
         assert result.passed, f"{label}: D={result.statistic:.4f}"
 
 
@@ -177,7 +178,7 @@ def test_pure_state_marginal_law():
     # rank-one states from the reduced ladder: (rho)_33 has CDF 1 - (1-t)^2
     s = Spectrum([1.0, 0.0, 0.0])
     records = batch_sample("coset", s, None, 2000, 23)
-    values = [r.observables["rho_33"] for r in records]
+    values = records.diagonals[:, 2]
     stat = one_sample_ks(values, lambda t: 1.0 - (1.0 - t) ** 2)
     assert stat < 1.6276 / np.sqrt(len(values))
 
@@ -225,40 +226,31 @@ def test_coset_rejects_mismatched_patterns():
 def test_batch_sample_is_reproducible(spectrum3):
     a = batch_sample("coset", spectrum3, None, 8, 99)
     b = batch_sample("coset", spectrum3, None, 8, 99)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.rho.matrix, rb.rho.matrix)
-    assert [r.index for r in a] == list(range(8))
-
-
-def test_batch_sample_threads_match_sequential(spectrum3):
-    seq = batch_sample("haar", spectrum3, None, 12, 100)
-    par = batch_sample("haar", spectrum3, None, 12, 100, max_workers=4)
-    for rs, rp in zip(seq, par):
-        assert np.array_equal(rs.rho.matrix, rp.rho.matrix)
+    for ma, mb in zip(a.matrices, b.matrices):
+        assert np.array_equal(ma, mb)
+    assert list(a.indices) == list(range(8))
 
 
 def test_batch_sample_seeds_are_independent(spectrum3):
     a = batch_sample("haar", spectrum3, None, 2, 101)
     b = batch_sample("haar", spectrum3, None, 2, 102)
-    assert not np.array_equal(a[0].rho.matrix, b[0].rho.matrix)
+    assert not np.array_equal(a.matrices[0], b.matrices[0])
 
 
 def test_batch_sample_disjoint_seeds_agree(spectrum3):
     # two fresh coset batches are draws from one distribution
     a = batch_sample("coset", spectrum3, None, 500, 70)
     b = batch_sample("coset", spectrum3, None, 500, 71)
-    result = ks_two_sample(
-        [r.observables["rho_33"] for r in a],
-        [r.observables["rho_33"] for r in b],
-    )
+    result = ks_two_sample(a.diagonals[:, 2], b.diagonals[:, 2])
     assert result.passed
 
 
 def test_batch_sample_zero_layer_hook(spectrum3):
-    records = batch_sample("coset", spectrum3, None, 3, 0, zero_layers=True)
+    # all-zero chart coordinates through the batched kernel
+    batch = batch_from_charts(spectrum3, None, np.zeros((3, 2 + 4)))
     target = np.diag(spectrum3.ascending_diagonal())
-    for record in records:
-        assert np.array_equal(record.rho.matrix, target)
+    for matrix in batch.matrices:
+        assert np.array_equal(matrix, target)
 
 
 def test_batch_sample_validation(spectrum3):
@@ -267,4 +259,100 @@ def test_batch_sample_validation(spectrum3):
     with pytest.raises(ValueError):
         batch_sample("bogus", spectrum3, None, 1, 1)
     with pytest.raises(ValueError):
-        batch_sample("haar", spectrum3, None, 1, 1, zero_layers=True)
+        batch_from_charts(spectrum3, None, np.zeros((1, 4)))
+
+
+# ------------------------------------------------- batch path vs scalar oracle
+
+
+@pytest.mark.parametrize("n_levels, zero_block", [(2, 0), (3, 0), (5, 0), (3, 2), (4, 2), (10, 3)])
+def test_batch_chart_coords_match_scalar_draws(n_levels, zero_block):
+    pattern = DegeneracyPattern(n_levels, zero_block)
+    coords = sample_chart_coords(pattern, 17, 40)
+    for i, row in enumerate(coords):
+        chart = sample_flag_chart(pattern, RngStream(17, i))
+        assert np.array_equal(row, np.concatenate([layer.coords for layer in chart.layers]))
+
+
+def test_rekeyed_stream_matches_a_fresh_one():
+    rng = RngStream(5, 0)
+    rng.standard_normal(3)
+    for index in (1, 7, 2**40):
+        rng.rekey(index)
+        fresh = RngStream(5, index)
+        assert rng.stream_index == fresh.stream_index
+        assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5))
+        assert rng.uniform() == fresh.uniform()
+
+
+def scalar_states(method, spectrum, seed, count):
+    pattern = None if method == "haar" else bures.sampling.pattern_for_spectrum(spectrum)
+    out = []
+    for i in range(count):
+        rng = RngStream(seed, i)
+        if method == "haar":
+            out.append(sample_state_haar(spectrum, rng).rho.matrix)
+        else:
+            out.append(sample_state_coset(spectrum, pattern, rng).rho.matrix)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("method", ["coset", "haar"])
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, 0.375, 0.125],
+        [0.35, 0.25, 0.2, 0.15, 0.05],
+        [0.7, 0.3, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+    ],
+)
+def test_batch_states_match_scalar_samplers(method, values):
+    spectrum = Spectrum(values)
+    batch = batch_sample(method, spectrum, None, 60, 8)
+    expected = scalar_states(method, spectrum, 8, 60)
+    assert batch.method == method and batch.seed == 8 and len(batch) == 60
+    assert np.max(np.abs(batch.matrices - expected)) <= 1e-13
+    assert np.array_equal(batch.diagonals, np.diagonal(batch.matrices, axis1=1, axis2=2).real)
+
+
+@pytest.mark.parametrize("method", ["coset", "haar"])
+def test_batch_count_prefix(method, spectrum4):
+    short = batch_sample(method, spectrum4, None, 5, 31)
+    long = batch_sample(method, spectrum4, None, 7, 31)
+    assert np.array_equal(long.matrices[:5], short.matrices)
+    assert np.array_equal(long.diagonals[:5], short.diagonals)
+
+
+@pytest.mark.parametrize("method", ["coset", "haar"])
+def test_batch_spanning_several_blocks_matches_oracle(method):
+    n = 100
+    values = np.linspace(2.0, 1.0, n)
+    spectrum = Spectrum(values / values.sum())
+    per_block = BLOCK_BYTES // (16 * n * n)
+    count = 2 * per_block + 2
+    batch = batch_sample(method, spectrum, None, count, 4)
+    assert np.max(np.abs(batch.matrices - scalar_states(method, spectrum, 4, count))) <= 1e-13
+
+
+def test_haar_batch_takes_the_scalar_fallback_on_rank_deficient_qr(spectrum3, monkeypatch):
+    real_qr = bures.sampling.qr_decompose_stack
+    real_scalar = bures.sampling.sample_haar_unitary
+    fallback_streams = []
+
+    def deficient_qr(stack):
+        q, r = real_qr(stack)
+        r[2, 1, 1] = 0.0
+        return q, r
+
+    def spy(n_levels, rng):
+        fallback_streams.append(rng.stream_index)
+        return real_scalar(n_levels, rng)
+
+    monkeypatch.setattr(bures.sampling, "qr_decompose_stack", deficient_qr)
+    monkeypatch.setattr(bures.sampling, "sample_haar_unitary", spy)
+    batch = batch_sample("haar", spectrum3, None, 4, 12)
+    assert fallback_streams == [2]
+    monkeypatch.undo()
+    expected = scalar_states("haar", spectrum3, 12, 4)
+    assert np.max(np.abs(batch.matrices - expected)) <= 1e-13
