@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DegenerateSpectrumError,
     InvalidStateError,
     NotHermitianError,
     RankDeficiencyError,
     ShapeError,
 )
-from .linalg import adjoint, as_complex_matrix, hermitian_eig, matmul
+from .linalg import HERMITICITY_RTOL, adjoint, as_complex_matrix, hermitian_eig, matmul
 
 #: Absolute tolerance on the eigenvalue sum of a spectrum.
 SPECTRUM_SUM_TOL = 1e-12
@@ -133,6 +134,118 @@ class DensityMatrix:
     @property
     def n_levels(self) -> int:
         return self.spectrum.n_levels
+
+
+def _prechecked(cls, **fields):
+    """Instance of a frozen dataclass built from fields a block check has passed.
+
+    Skips ``__post_init__``: re-running the per-record checks would repeat
+    the block check record by record, which costs most of what it saves.
+    Fields are set one at a time, as the dataclass's ``__init__`` sets them;
+    filling ``__dict__`` in one update made each instance about 150 bytes
+    larger.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def state_checks(matrices: np.ndarray, values: np.ndarray, basis: np.ndarray, recon=None) -> list:
+    """``DensityMatrix``'s contract for a (count, N, N) stack of states, vectorized.
+
+    ``values`` holds the descending eigenvalues, shared (N,) or per state
+    (count, N), and ``basis`` the matching eigenvector columns; ``recon``,
+    if the caller has it, is (basis * values) basis†. Returns (failing rows,
+    error class, message) triples in the order ``DensityMatrix.__post_init__``
+    checks, against the same tolerances, for ``raise_first_failure``.
+    """
+    n = matrices.shape[-1]
+    basis_h = basis.conj().transpose(0, 2, 1)
+    if recon is None:
+        recon = (basis * values[..., None, :]) @ basis_h
+    return [
+        (
+            ~(np.isfinite(matrices).all(axis=(1, 2)) & np.isfinite(basis).all(axis=(1, 2))),
+            ShapeError,
+            "matrix entries must be finite",
+        ),
+        (
+            np.linalg.norm(matrices - matrices.conj().transpose(0, 2, 1), axis=(1, 2)) > STATE_HERM_TOL,
+            NotHermitianError,
+            "density matrix is not Hermitian to tolerance",
+        ),
+        (
+            np.abs(np.trace(matrices, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL,
+            InvalidStateError,
+            "trace is not 1",
+        ),
+        (
+            np.linalg.norm(basis_h @ basis - np.eye(n), axis=(1, 2)) > STATE_RECON_TOL,
+            InvalidStateError,
+            "eigenbasis is not unitary to tolerance",
+        ),
+        (
+            np.linalg.norm(recon - matrices, axis=(1, 2)) > STATE_RECON_TOL,
+            InvalidStateError,
+            "matrix does not match its eigensystem",
+        ),
+    ]
+
+
+def raise_first_failure(checks, start: int) -> None:
+    """Raise for the first record that fails any check, with the first check it fails.
+
+    ``checks`` are (failing rows, error class, message) triples in the order
+    the per-record constructors run them, so the error is the one building
+    the records one by one would raise first. Rows count from ``start``.
+    """
+    failing = np.logical_or.reduce([rows for rows, _, _ in checks])
+    if failing.any():
+        row = int(np.argmax(failing))
+        error, message = next((error, message) for rows, error, message in checks if rows[row])
+        raise error(f"record {start + row}: {message}")
+
+
+def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
+    """``DensityMatrix.from_matrix`` of every matrix in a (count, N, N) stack.
+
+    One stacked eigh runs on (h + h†)/2, the recipe of ``hermitian_eig``, so
+    spectra and bases equal the per-matrix path bit for bit. The checks of
+    ``hermitian_eig``, ``Spectrum`` and ``DensityMatrix`` run vectorized
+    against the same tolerances, followed by the caller's ``after`` triples
+    (see ``raise_first_failure``); the first failing record is named, counting
+    from ``start``.
+    """
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    # non-finite rows fail the first check; zeros keep them out of LAPACK
+    h = np.where(finite[:, None, None], matrices, 0.0)
+    dag = h.conj().transpose(0, 2, 1)
+    try:
+        w, v = np.linalg.eigh((h + dag) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"records {start}-{start + len(h) - 1}: eigenvalue iteration failed to converge"
+        ) from exc
+    w = np.ascontiguousarray(w[:, ::-1])
+    checks = [
+        (~finite, ShapeError, "matrix entries must be finite"),
+        (
+            np.linalg.norm(h - dag, axis=(1, 2)) > HERMITICITY_RTOL * np.linalg.norm(h, axis=(1, 2)),
+            NotHermitianError,
+            "matrix is not Hermitian to working tolerance",
+        ),
+        (~np.isfinite(w).all(axis=1), ShapeError, "eigenvalues must be finite"),
+        ((w < NEGATIVE_EIGENVALUE_TOL).any(axis=1), InvalidStateError, "negative eigenvalue"),
+        (np.abs(w.sum(axis=1) - 1.0) > SPECTRUM_SUM_TOL, InvalidStateError, "eigenvalues do not sum to 1"),
+    ]
+    values = np.sort(np.clip(w, 0.0, None), axis=1)[:, ::-1].copy()
+    basis = v[:, :, ::-1]
+    raise_first_failure(checks + state_checks(h, values, basis) + list(after), start)
+    return [
+        _prechecked(DensityMatrix, matrix=m, spectrum=_prechecked(Spectrum, values=lam), basis=b)
+        for m, lam, b in zip(matrices, values, basis)
+    ]
 
 
 def ball_volume(n: int) -> float:

@@ -25,8 +25,6 @@ from .coset import (
     flag_unitary,
 )
 from .errors import (
-    InvalidStateError,
-    NotHermitianError,
     OutOfBallError,
     ShapeError,
     SingularMatrixError,
@@ -35,10 +33,12 @@ from .errors import (
 from .linalg import PIVOT_FLOOR, qr_decompose, qr_decompose_stack
 from .measures import (
     DEGENERACY_TOL,
-    STATE_HERM_TOL,
-    STATE_RECON_TOL,
     DensityMatrix,
     Spectrum,
+    _prechecked,
+    density_matrices,
+    raise_first_failure,
+    state_checks,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -48,6 +48,13 @@ _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 #: Default squared-radius margin kept between sampled points and the ball edge
 #: when the points feed finite-difference Jacobian checks.
 INTERIOR_MARGIN = 1e-2
+
+#: Sampling methods, as written in record files.
+METHODS = ("haar", "coset")
+
+#: Largest difference accepted between a rho_jj observable and the state's
+#: diagonal entry.
+OBSERVABLE_TOL = 1e-12
 
 
 class RngStream:
@@ -111,13 +118,13 @@ class SampleRecord:
     observables: dict
 
     def __post_init__(self):
-        if self.method not in ("haar", "coset"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
         for j in range(1, self.rho.n_levels + 1):
             label = f"rho_{j}{j}"
             if label not in self.observables:
                 raise ValueError(f"missing observable {label}")
-            if abs(self.observables[label] - self.rho.matrix[j - 1, j - 1].real) > 1e-12:
+            if abs(self.observables[label] - self.rho.matrix[j - 1, j - 1].real) > OBSERVABLE_TOL:
                 raise ValueError(f"observable {label} inconsistent with the state")
 
 
@@ -274,7 +281,7 @@ class StateBatch:
     diagonals: np.ndarray
 
     def __post_init__(self):
-        if self.method not in ("haar", "coset"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
         n = self.spectrum.n_levels
         count = self.matrices.shape[0]
@@ -284,7 +291,7 @@ class StateBatch:
                 f"do not hold {n}-level states"
             )
         diag = np.diagonal(self.matrices, axis1=1, axis2=2).real
-        if np.any(np.abs(self.diagonals - diag) > 1e-12):
+        if np.any(np.abs(self.diagonals - diag) > OBSERVABLE_TOL):
             raise ValueError("diagonals inconsistent with the states")
 
     def __len__(self) -> int:
@@ -300,9 +307,14 @@ class StateBatch:
         return range(len(self))
 
 
+def block_records(n_levels: int) -> int:
+    """Records per block: as many (N, N) complex states as fit BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (16 * n_levels * n_levels))
+
+
 def _blocks(count: int, n_levels: int):
     """(start, stop) pairs covering range(count) in blocks of the byte budget."""
-    step = max(1, BLOCK_BYTES // (16 * n_levels * n_levels))
+    step = block_records(n_levels)
     for start in range(0, count, step):
         yield start, min(start + step, count)
 
@@ -410,47 +422,14 @@ def _store_states(spectrum: Spectrum, unitaries: np.ndarray, out: np.ndarray, st
 
     Mirrors ``_state_from_unitary``: the basis is the unitary with its columns
     reversed, raw = (basis * values) basis†, and the stored state is
-    (raw + raw†)/2. Finiteness, Hermiticity, trace, basis unitarity and
-    reconstruction are checked for the whole block against the same
-    tolerances ``DensityMatrix`` uses, and the first failing record is named.
+    (raw + raw†)/2. The block is checked by ``state_checks``, which names the
+    first failing record.
     """
-    n = spectrum.n_levels
     basis = unitaries[:, :, ::-1]
-    basis_h = basis.conj().transpose(0, 2, 1)
-    raw = (basis * spectrum.values) @ basis_h
+    raw = (basis * spectrum.values) @ basis.conj().transpose(0, 2, 1)
     np.add(raw, raw.conj().transpose(0, 2, 1), out=out)
     out /= 2
-
-    checks = (
-        (
-            ~(np.isfinite(unitaries).all(axis=(1, 2)) & np.isfinite(out).all(axis=(1, 2))),
-            ShapeError,
-            "matrix entries must be finite",
-        ),
-        (
-            np.linalg.norm(out - out.conj().transpose(0, 2, 1), axis=(1, 2)) > STATE_HERM_TOL,
-            NotHermitianError,
-            "density matrix is not Hermitian to tolerance",
-        ),
-        (
-            np.abs(np.trace(out, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL,
-            InvalidStateError,
-            "trace is not 1",
-        ),
-        (
-            np.linalg.norm(basis_h @ basis - np.eye(n), axis=(1, 2)) > STATE_RECON_TOL,
-            InvalidStateError,
-            "eigenbasis is not unitary to tolerance",
-        ),
-        (
-            np.linalg.norm(raw - out, axis=(1, 2)) > STATE_RECON_TOL,
-            InvalidStateError,
-            "matrix does not match its eigensystem",
-        ),
-    )
-    for bad, error, message in checks:
-        if bad.any():
-            raise error(f"record {start + int(np.argmax(bad))}: {message}")
+    raise_first_failure(state_checks(out, spectrum.values, basis, raw), start)
 
 
 def _assemble(method: str, seed, spectrum: Spectrum, count: int, unitaries_for) -> StateBatch:
@@ -492,7 +471,7 @@ def batch_sample(method: str, spectrum: Spectrum, pattern, count: int, seed: int
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if method not in ("haar", "coset"):
+    if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
     if pattern is None:
         pattern = pattern_for_spectrum(spectrum)
@@ -508,3 +487,28 @@ def batch_sample(method: str, spectrum: Spectrum, pattern, count: int, seed: int
         return _coset_unitaries(n, dims, _draw_charts(rng, dims, start, stop), start)
 
     return _assemble(method, seed, spectrum, count, unitaries_for)
+
+
+def records_from_stack(methods, indices, matrices: np.ndarray, diagonals: np.ndarray, start: int = 0) -> list:
+    """SampleRecords for a block of stored states, as read back from a record file.
+
+    Equal, bit for bit, to building each record from ``DensityMatrix.from_matrix``
+    and its rho_jj ``diagonals`` (count, N). Every check of that path and of
+    ``SampleRecord`` runs once, vectorized, for the whole block (see
+    ``density_matrices``); records are numbered from ``start`` in errors.
+    """
+    labels = [f"rho_{j}{j}" for j in range(1, matrices.shape[-1] + 1)]
+    on_diagonal = np.diagonal(matrices, axis1=1, axis2=2).real
+    after = [
+        (np.array([m not in METHODS for m in methods], dtype=bool), ValueError, "unknown sampling method"),
+        (
+            (np.abs(diagonals - on_diagonal) > OBSERVABLE_TOL).any(axis=1),
+            ValueError,
+            "rho_jj observables inconsistent with the state",
+        ),
+    ]
+    rhos = density_matrices(matrices, start, after)
+    return [
+        _prechecked(SampleRecord, method=method, index=index, rho=rho, observables=dict(zip(labels, obs)))
+        for method, index, rho, obs in zip(methods, indices, rhos, diagonals.tolist())
+    ]

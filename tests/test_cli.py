@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bures.cli import main, read_column, read_records, write_records
-from bures.measures import Spectrum, eigenvalue_density
-from bures.sampling import StateBatch, batch_from_charts, batch_sample
+from bures.cli import UsageError, main, read_column, read_records, write_records
+from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
+from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
+from bures.sampling import SampleRecord, StateBatch, batch_from_charts, batch_sample
 
 SPEC3 = "0.5,0.375,0.125"
 
@@ -271,12 +272,18 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
         # a non-numeric cell in the compared CSV column
         (_write_text("bad.csv", "method,index,rho_33\ncoset,0,0.25\ncoset,1,abc\n"),
          ["compare", "{f}", "{f}", "--column", "rho_33"], 2, None),
+        # a nan cell parses as a float but is no sample
+        (_write_text("nan.csv", "method,index,rho_33\ncoset,0,0.25\ncoset,1,nan\n"),
+         ["compare", "{f}", "{f}", "--column", "rho_33"], 2, None),
         # an empty JSONL file has no data rows
         (_write_text("empty.jsonl", ""), ["compare", "{f}", "{f}", "--column", "rho_33"], 2, None),
+        # a JSONL line that is not JSON
+        (_write_text("bad.jsonl", '{"observables": {"rho_11": 0.5}}\n{not json\n'),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, None),
         # the module runs as a script
         (None, ["volume", "-n", "3"], 0, "flag_volume(3) = "),
     ],
-    ids=["compare-non-numeric-csv", "compare-empty-jsonl", "module-volume"],
+    ids=["compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl", "module-volume"],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, stdout_has):
     path = make_file(tmp_path) if make_file else None
@@ -299,6 +306,177 @@ def test_read_column_matches_records(tmp_path):
     col = read_column(out, "rho_22")
     recs = read_records(out)
     assert col == pytest.approx([r.observables["rho_22"] for r in recs], abs=0)
+
+
+# ------------------------------------------------------------------- reader
+
+
+def per_record_read(path):
+    """The one-record-at-a-time reader: from_matrix and SampleRecord for every record."""
+    if str(path).endswith(".jsonl"):
+        rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    else:
+        rows = []
+        for row in csv.DictReader(Path(path).read_text().splitlines()):
+            n = math.isqrt(sum(k.startswith("re_") for k in row))
+            entries = {p: [[float(row[f"{p}_{j}_{k}"]) for k in range(1, n + 1)] for j in range(1, n + 1)]
+                       for p in ("re", "im")}
+            obs = {f"rho_{j}{j}": float(row[f"rho_{j}{j}"]) for j in range(1, n + 1)}
+            rows.append(dict(method=row["method"], index=row["index"], observables=obs, **entries))
+    records = []
+    for row in rows:
+        rho = DensityMatrix.from_matrix(np.asarray(row["re"], dtype=float) + 1j * np.asarray(row["im"], dtype=float))
+        obs = {str(k): float(v) for k, v in row["observables"].items()}
+        records.append(SampleRecord(str(row["method"]), int(row["index"]), rho, obs))
+    return records
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_records_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is SampleRecord and g.method == w.method and g.index == w.index
+        assert same_bits(g.rho.matrix, w.rho.matrix)
+        assert same_bits(g.rho.spectrum.values, w.rho.spectrum.values)
+        assert same_bits(g.rho.basis, w.rho.basis)
+        assert g.observables == w.observables and list(g.observables) == list(w.observables)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize(
+    "method, values, count",
+    [
+        # 600 N=3 records span three parse blocks
+        ("coset", [0.5, 0.375, 0.125], 600),
+        ("haar", [0.5, 0.375, 0.125], 600),
+        # N=10 with a 3-fold zero block: 163 records per parse block
+        ("coset", [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400),
+        ("haar", [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400),
+    ],
+)
+def test_read_records_matches_the_per_record_path(tmp_path, fmt, method, values, count):
+    out = tmp_path / f"{method}.{fmt}"
+    write_records(batch_sample(method, Spectrum(values), None, count, 13), out, fmt)
+    assert_records_identical(read_records(out), per_record_read(out))
+
+
+def test_read_records_takes_csv_columns_in_any_order(tmp_path):
+    out = tmp_path / "plain.csv"
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), None, 300, 4), out, "csv")
+    rows = list(csv.reader(out.read_text().splitlines()))
+    order = np.random.default_rng(0).permutation(len(rows[0]))
+    assert list(order) != sorted(order)
+    shuffled = tmp_path / "shuffled.csv"
+    with shuffled.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([row[i] for i in order] for row in rows)
+    assert_records_identical(read_records(shuffled), per_record_read(out))
+
+
+def edited_file(tmp_path, edit):
+    """A 600-record N=3 CSV whose rows (header first) went through ``edit``."""
+    out = tmp_path / "edited.csv"
+    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), None, 600, 21), out, "csv")
+    rows = list(csv.reader(out.read_text().splitlines()))
+    edit(rows)
+    with out.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return out
+
+
+def edit_record(index, **changes):
+    """Replace the cells of record ``index`` named in ``changes`` by change(old value)."""
+
+    def edit(rows):
+        row = rows[index + 1]  # after the header
+        assert row[1] == str(index)
+        for label, change in changes.items():
+            col = rows[0].index(label)
+            row[col] = f"{change(float(row[col])):.17g}"
+
+    return edit
+
+
+def edit_record_300(**changes):
+    return edit_record(300, **changes)
+
+
+def in_turn(*edits):
+    def edit(rows):
+        for each in edits:
+            each(rows)
+
+    return edit
+
+
+def plus(by):
+    return lambda value: value + by
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (edit_record_300(re_2_2=lambda value: math.nan), ShapeError),
+        # one off-diagonal entry moved without its mirror
+        (edit_record_300(re_1_2=plus(1e-3)), NotHermitianError),
+        # the rho_jj column disagrees with the matrix
+        (edit_record_300(rho_22=plus(1e-6)), ValueError),
+        # rho_11 and its column both moved: the trace is 1 + 1e-6
+        (edit_record_300(re_1_1=plus(1e-6), rho_11=plus(1e-6)), InvalidStateError),
+        # trace 1 and Hermitian, but a diagonal entry (so an eigenvalue) below zero
+        (edit_record_300(re_1_1=plus(0.6), rho_11=plus(0.6), re_2_2=plus(-0.6), rho_22=plus(-0.6)),
+         InvalidStateError),
+        # in one parse block, record 300 fails the last check and record 301 the second:
+        # the error is record 300's, as building the records one by one would give
+        (in_turn(edit_record_300(rho_22=plus(1e-6)), edit_record(301, re_1_2=plus(1e-3))), ValueError),
+    ],
+    ids=[
+        "non-finite", "non-hermitian", "rho-jj-inconsistent", "trace-not-one", "negative-eigenvalue",
+        "first-record-wins",
+    ],
+)
+def test_read_records_names_the_failing_record(tmp_path, edit, error):
+    out = edited_file(tmp_path, edit)
+    with pytest.raises(error, match="^record 300: ") as raised:
+        read_records(out)
+    with pytest.raises(Exception) as per_record:
+        per_record_read(out)
+    assert raised.type is per_record.type
+
+
+def drop_column(label):
+    def edit(rows):
+        col = rows[0].index(label)
+        rows[:] = [row[:col] + row[col + 1 :] for row in rows]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, names",
+    [
+        (drop_column("im_2_3"), "'im_2_3'"),
+        (lambda rows: rows[301].pop(), "line 302"),
+    ],
+    ids=["header-missing-label", "short-row"],
+)
+def test_read_records_rejects_malformed_csv(tmp_path, edit, names):
+    with pytest.raises(BuresError, match=names):
+        read_records(edited_file(tmp_path, edit))
+
+
+def test_read_records_and_read_column_reject_malformed_jsonl(tmp_path):
+    out = tmp_path / "bad.jsonl"
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), None, 3, 2), out, "jsonl")
+    lines = out.read_text().splitlines()
+    lines[1] = "{not json"
+    out.write_text("\n".join(lines) + "\n")
+    for read in (read_records, lambda path: read_column(path, "rho_11")):
+        with pytest.raises(UsageError, match="line 2"):
+            read(out)
 
 
 # ------------------------------------------------------------------- checks
