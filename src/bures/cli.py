@@ -210,13 +210,19 @@ def _picked_cells(reader, header: list, labels: list, path):
         yield reader.line_num, cells
 
 
-def _jsonl_objects(handle, path):
-    """(line number, object) per non-blank line of a JSONL file."""
+#: Decodes a JSONL line for read_column: the C scanner still parses all of it,
+#: but leaves every non-integer number as the text it sliced out, so only the
+#: one compared cell is converted (float() on that text, as json.loads does).
+_decode_deferred = json.JSONDecoder(parse_float=str).decode
+
+
+def _jsonl_objects(handle, path, decode=json.loads):
+    """(line number, object) per non-blank line of a JSONL file, each line through ``decode``."""
     for line, text in enumerate(handle, 1):
         if not text.strip():
             continue
         try:
-            payload = json.loads(text)
+            payload = decode(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}, line {line}: malformed JSON ({exc.msg})") from exc
         if not isinstance(payload, dict):
@@ -272,7 +278,8 @@ def read_column(path, column: str) -> np.ndarray:
     jsonl = _looks_like_jsonl(path)
     with _open_records(path, jsonl) as handle:
         if jsonl:
-            cells = [_observable(payload, column, path) for _, payload in _jsonl_objects(handle, path)]
+            objects = _jsonl_objects(handle, path, _decode_deferred)
+            cells = [_observable(payload, column, path) for _, payload in objects]
         else:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -291,6 +298,8 @@ def _observable(payload: dict, column: str, path):
 
 def _cell_value(cell, column: str, path) -> float:
     try:
+        if isinstance(cell, bool):  # float(True) is 1.0, but a JSON true is no sample
+            raise TypeError
         value = float(cell)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"non-numeric value {cell!r} in column {column!r} of {path}") from exc
@@ -336,10 +345,7 @@ def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
     if a.size == b.size:
         pairs = cumulative_pairs(a, b)
         with open(pairs_out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["a", "b"])
-            for left, right in pairs:
-                writer.writerow([f"{left:.17g}", f"{right:.17g}"])
+            handle.write("a,b\n" + ("%.17g,%.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
         print(f"pairs written to {pairs_out}")
     else:
         print("pairs skipped (sample sizes differ)")

@@ -53,7 +53,8 @@ INTERIOR_MARGIN = 1e-2
 METHODS = ("haar", "coset")
 
 #: Largest difference accepted between a rho_jj observable and the state's
-#: diagonal entry.
+#: diagonal entry. Checks test ``<= OBSERVABLE_TOL`` and reject what fails it,
+#: so a NaN observable is rejected too.
 OBSERVABLE_TOL = 1e-12
 
 
@@ -124,7 +125,7 @@ class SampleRecord:
             label = f"rho_{j}{j}"
             if label not in self.observables:
                 raise ValueError(f"missing observable {label}")
-            if abs(self.observables[label] - self.rho.matrix[j - 1, j - 1].real) > OBSERVABLE_TOL:
+            if not abs(self.observables[label] - self.rho.matrix[j - 1, j - 1].real) <= OBSERVABLE_TOL:
                 raise ValueError(f"observable {label} inconsistent with the state")
 
 
@@ -291,7 +292,7 @@ class StateBatch:
                 f"do not hold {n}-level states"
             )
         diag = np.diagonal(self.matrices, axis1=1, axis2=2).real
-        if np.any(np.abs(self.diagonals - diag) > OBSERVABLE_TOL):
+        if not np.all(np.abs(self.diagonals - diag) <= OBSERVABLE_TOL):
             raise ValueError("diagonals inconsistent with the states")
 
     def __len__(self) -> int:
@@ -502,7 +503,7 @@ def records_from_stack(methods, indices, matrices: np.ndarray, diagonals: np.nda
     after = [
         (np.array([m not in METHODS for m in methods], dtype=bool), ValueError, "unknown sampling method"),
         (
-            (np.abs(diagonals - on_diagonal) > OBSERVABLE_TOL).any(axis=1),
+            ~(np.abs(diagonals - on_diagonal) <= OBSERVABLE_TOL).all(axis=1),
             ValueError,
             "rho_jj observables inconsistent with the state",
         ),

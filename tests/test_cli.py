@@ -13,6 +13,7 @@ from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
 from bures.sampling import SampleRecord, StateBatch, batch_from_charts, batch_sample
+from bures.stats import cumulative_pairs
 
 SPEC3 = "0.5,0.375,0.125"
 
@@ -267,7 +268,7 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
-    "make_file, argv, code, stdout_has",
+    "make_file, argv, code, says",
     [
         # a non-numeric cell in the compared CSV column
         (_write_text("bad.csv", "method,index,rho_33\ncoset,0,0.25\ncoset,1,abc\n"),
@@ -280,12 +281,22 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
         # a JSONL line that is not JSON
         (_write_text("bad.jsonl", '{"observables": {"rho_11": 0.5}}\n{not json\n'),
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, None),
+        # float(True) is 1.0, but a JSON boolean is no sample
+        (_write_text("bool.jsonl", '{"observables": {"rho_11": 0.5}}\n{"observables": {"rho_11": true}}\n'),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-numeric value True"),
+        # an overflowing number stays text until its cell is converted, and is rejected then
+        (_write_text("inf.jsonl", "".join(f'{{"observables": {{"rho_11": {v}}}}}\n'
+                                          for v in ("0.5", "1e999", "NaN", "Infinity"))),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-finite value"),
         # the module runs as a script
         (None, ["volume", "-n", "3"], 0, "flag_volume(3) = "),
     ],
-    ids=["compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl", "module-volume"],
+    ids=[
+        "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
+        "compare-bool-jsonl", "compare-nonfinite-jsonl", "module-volume",
+    ],
 )
-def test_cli_module_exit_codes(tmp_path, make_file, argv, code, stdout_has):
+def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
     path = make_file(tmp_path) if make_file else None
     args = [a.replace("{f}", path) if path else a for a in argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
@@ -295,17 +306,56 @@ def test_cli_module_exit_codes(tmp_path, make_file, argv, code, stdout_has):
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stderr == ""
-        assert stdout_has in proc.stdout
+        assert says in proc.stdout
     else:
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert says is None or says in proc.stderr, proc.stderr
 
 
-def test_read_column_matches_records(tmp_path):
-    out = run_sample(tmp_path, "col.csv")
-    col = read_column(out, "rho_22")
-    recs = read_records(out)
-    assert col == pytest.approx([r.observables["rho_22"] for r in recs], abs=0)
+@pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_read_column_rejects_non_finite_jsonl_cells(tmp_path, cell):
+    out = tmp_path / "inf.jsonl"
+    out.write_text(f'{{"observables": {{"rho_11": 0.5}}}}\n{{"observables": {{"rho_11": {cell}}}}}\n')
+    with pytest.raises(UsageError, match="non-finite value"):
+        read_column(out, "rho_11")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize(
+    "values",
+    [[0.5, 0.375, 0.125], [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0]],
+    ids=["n3", "n10-zero-block"],
+)
+def test_read_column_matches_records(tmp_path, fmt, values):
+    out = tmp_path / f"col.{fmt}"
+    write_records(batch_sample("coset", Spectrum(values), None, 300, 8), out, fmt)
+    records = read_records(out)
+    for column in records[0].observables:
+        want = np.array([r.observables[column] for r in records])
+        assert same_bits(read_column(out, column), want)
+
+
+def legacy_pairs_bytes(pairs):
+    """The per-pair csv.writer format QQ sidecars have always had."""
+    lines = []
+    writer = csv.writer(_Sink(lines), lineterminator="\n")
+    writer.writerow(["a", "b"])
+    for left, right in pairs:
+        writer.writerow([f"{left:.17g}", f"{right:.17g}"])
+    return "".join(lines).encode()
+
+
+def test_compare_pairs_bytes_match_the_per_pair_format(tmp_path):
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[-0.0, 0.0, 5e-324, 1.0 / 3.0, 0.1], rng.uniform(size=195)])
+    b = np.concatenate([[2.5e-310, -0.0, 2.0 / 3.0, 1.0, 0.2], rng.uniform(size=195)])
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.jsonl"
+    a_path.write_text("method,index,rho_33\n" + "".join(f"coset,{i},{v:.17g}\n" for i, v in enumerate(a)))
+    b_path.write_text("".join(json.dumps({"observables": {"rho_33": v}}) + "\n" for v in b.tolist()))
+    target = tmp_path / "pairs.csv"
+    assert main(["compare", str(a_path), str(b_path), "--pairs-out", str(target)]) in (0, 1)
+    assert target.read_bytes() == legacy_pairs_bytes(cumulative_pairs(a, b))
 
 
 # ------------------------------------------------------------------- reader
@@ -424,6 +474,8 @@ def plus(by):
         (edit_record_300(re_1_2=plus(1e-3)), NotHermitianError),
         # the rho_jj column disagrees with the matrix
         (edit_record_300(rho_22=plus(1e-6)), ValueError),
+        # a NaN rho_jj fails that check too
+        (edit_record_300(rho_22=lambda value: math.nan), ValueError),
         # rho_11 and its column both moved: the trace is 1 + 1e-6
         (edit_record_300(re_1_1=plus(1e-6), rho_11=plus(1e-6)), InvalidStateError),
         # trace 1 and Hermitian, but a diagonal entry (so an eigenvalue) below zero
@@ -434,7 +486,7 @@ def plus(by):
         (in_turn(edit_record_300(rho_22=plus(1e-6)), edit_record(301, re_1_2=plus(1e-3))), ValueError),
     ],
     ids=[
-        "non-finite", "non-hermitian", "rho-jj-inconsistent", "trace-not-one", "negative-eigenvalue",
+        "non-finite", "non-hermitian", "rho-jj-inconsistent", "rho-jj-nan", "trace-not-one", "negative-eigenvalue",
         "first-record-wins",
     ],
 )

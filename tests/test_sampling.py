@@ -8,6 +8,7 @@ from bures.measures import Spectrum
 from bures.sampling import (
     BLOCK_BYTES,
     RngStream,
+    StateBatch,
     batch_from_charts,
     batch_sample,
     pattern_for_spectrum,
@@ -260,6 +261,15 @@ def test_batch_sample_validation(spectrum3):
         batch_sample("bogus", spectrum3, None, 1, 1)
     with pytest.raises(ValueError):
         batch_from_charts(spectrum3, None, np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e-6])
+def test_state_batch_rejects_inconsistent_diagonals(spectrum3, value):
+    batch = batch_sample("haar", spectrum3, None, 4, 3)
+    diagonals = batch.diagonals.copy()
+    diagonals[2, 1] += value
+    with pytest.raises(ValueError, match="diagonals inconsistent"):
+        StateBatch("haar", 3, spectrum3, batch.matrices, diagonals)
 
 
 # ------------------------------------------------- batch path vs scalar oracle
