@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coset import BallPoint, EULER_ANGLE_RANGES, coset_jacobian_det, euler_coset_volume
+from .coset import BallPoint, coset_jacobian_det, euler_coset_volume
 from .errors import BuresError, DegenerateSpectrumError
 from .measures import (
     Spectrum,
@@ -92,36 +92,83 @@ def _csv_header(n: int) -> list:
     return ["method", "index"] + _entry_labels("re", n) + _entry_labels("im", n) + _diag_labels(n)
 
 
+#: Most records write_records formats as one text block. Below it the
+#: sampler's byte budget sets the block (``block_records``); the cap bounds the
+#: strings a block holds at once (about 2N^2 per record), so that writing stays
+#: below the peak memory that reading a record file sets.
+WRITE_BLOCK_CAP = 64
+
+
+def _text_blocks(batch: StateBatch, fmt, fmt_one):
+    """(stream indices, entry texts (B, 2, N, N), rho_jj texts (B, N)) per text block of ``batch``.
+
+    Entry texts hold Re then Im of each state as ``fmt_one`` would format
+    them. A sampled state is Hermitian bit for bit, so |Re| and |Im| of an
+    entry equal those of its mirror: each magnitude on and above the diagonal
+    is formatted once, by ``fmt``, and every entry takes its own sign. An
+    entry whose magnitude differs from its mirror's, or is not finite, and a
+    rho_jj value that differs from the state's diagonal in value or sign bit,
+    goes through ``fmt_one`` on its own.
+    """
+    n = batch.n_levels
+    upper = np.triu_indices(n)
+    size = len(upper[0])
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[upper] = slot[upper[::-1]] = np.arange(size)
+    step = min(WRITE_BLOCK_CAP, block_records(n))
+    for start in range(0, len(batch), step):
+        matrices = batch.matrices[start : start + step]
+        parts = np.stack((matrices.real, matrices.imag), axis=1)
+        mags = np.abs(parts)
+        plain = np.array(list(map(fmt, mags[:, :, upper[0], upper[1]].ravel().tolist())), dtype=object)
+        signed = np.concatenate((plain, np.add("-", plain)))
+        first = np.arange(2 * len(matrices)).reshape(-1, 2, 1, 1) * size
+        texts = signed[first + slot + np.signbit(parts) * plain.size]
+        for i in np.flatnonzero(~((mags == mags.swapaxes(2, 3)) & (mags < np.inf))):
+            texts.flat[i] = fmt_one(float(parts.flat[i]))
+        stored = batch.diagonals[start : start + step]
+        diagonal = np.diagonal(matrices.real, axis1=1, axis2=2)
+        diag = np.diagonal(texts[:, 0], axis1=1, axis2=2).copy()
+        for i in np.flatnonzero((stored != diagonal) | (np.signbit(stored) != np.signbit(diagonal))):
+            diag.flat[i] = fmt_one(float(stored.flat[i]))
+        yield batch.indices[start : start + step], texts, diag
+
+
+#: Float text of the CSV format; unlike float.__repr__, it writes nan and inf bare.
+_csv_float = "%.17g".__mod__
+
+
 def write_records_csv(batch: StateBatch, path) -> None:
     """One header line, then per record: method, index, Re rho, Im rho (row-major), rho_jj."""
-    n = batch.n_levels
-    count = len(batch)
-    values = np.concatenate(
-        (batch.matrices.real.reshape(count, n * n), batch.matrices.imag.reshape(count, n * n), batch.diagonals),
-        axis=1,
-    )
-    row = f"{batch.method},%d," + ",".join(["%.17g"] * values.shape[1]) + "\n"
+    head = batch.method + ","
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(_csv_header(n)) + "\n")
-        for index, cells in zip(batch.indices, values):
-            handle.write(row % (index, *cells.tolist()))
+        handle.write(",".join(_csv_header(batch.n_levels)) + "\n")
+        for indices, texts, diag in _text_blocks(batch, _csv_float, _csv_float):
+            rows = np.concatenate((texts.reshape(len(texts), -1), diag), axis=1).tolist()
+            handle.write("".join(f"{head}{index},{','.join(row)}\n" for index, row in zip(indices, rows)))
 
 
 def write_records_jsonl(batch: StateBatch, path) -> None:
-    labels = _diag_labels(batch.n_levels)
+    """One JSON object per record: method, index, re and im as nested rows, rho_jj observables."""
+    observables = ",".join(f'"{label}":%s' for label in _diag_labels(batch.n_levels))
+    line = '{"method":' + json.dumps(batch.method) + ',"index":%d,"re":[[%s]],"im":[[%s]],"observables":{'
+    line += observables + "}}\n"
     with open(path, "w") as handle:
-        for index, matrix, diagonal in zip(batch.indices, batch.matrices, batch.diagonals):
-            payload = {
-                "method": batch.method,
-                "index": index,
-                "re": matrix.real.tolist(),
-                "im": matrix.imag.tolist(),
-                "observables": dict(zip(labels, diagonal.tolist())),
-            }
-            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        for indices, texts, diag in _text_blocks(batch, float.__repr__, json.dumps):
+            handle.write("".join(
+                line % (index, "],[".join(map(",".join, re)), "],[".join(map(",".join, im)), *rho)
+                for index, (re, im), rho in zip(indices, texts.tolist(), diag.tolist())
+            ))
 
 
 def write_records(batch: StateBatch, path, fmt: str) -> None:
+    """Write ``batch`` as a CSV or JSONL record file.
+
+    The bytes are those of formatting each record on its own: json.dumps of
+    the record object with separators (",", ":") for JSONL, a %.17g cell per
+    float for CSV. Text is built a block of records at a time, formatting each
+    distinct entry magnitude of the Hermitian states once.
+    """
     if fmt == "csv":
         write_records_csv(batch, path)
     elif fmt == "jsonl":
@@ -318,15 +365,22 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_volume(n: int) -> int:
     if n < 2:
         raise UsageError("volume tables need at least 2 levels")
-    product = 1.0
-    for k in range(1, n):
-        vol = ball_volume(2 * k)
-        product *= vol
+    out_of_range = UsageError(f"volume tables for {n} levels overflow double precision")
+    try:
+        balls = [ball_volume(2 * k) for k in range(1, n)]
+        flag, flag_sz = flag_volume(n), flag_volume_sz(n)
+    except OverflowError as exc:
+        raise out_of_range from exc
+    product = math.prod(balls)
+    # a Gamma product that overflows to inf turns a volume into 0; print no such number
+    values = balls + [flag, flag_sz, product]
+    if not all(sys.float_info.min <= v < math.inf for v in values):
+        raise out_of_range
+    for k, vol in enumerate(balls, 1):
         print(f"Vol(B^{2 * k}) = {vol:.15g}")
-    flag = flag_volume(n)
     print(f"flag_volume({n}) = {flag:.15g}")
-    print(f"flag_volume_sz({n}) = {flag_volume_sz(n):.15g}")
-    print(f"ratio = {flag_volume_sz(n) / flag:.15g}")
+    print(f"flag_volume_sz({n}) = {flag_sz:.15g}")
+    print(f"ratio = {flag_sz / flag:.15g}")
     print(f"ball product = {product:.15g}")
     return EXIT_OK
 
@@ -380,14 +434,10 @@ def cmd_check_jacobian(n: int, points: int, step: float, seed: int) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_check_euler(nodes: int = 64, halve_phi6: bool = False) -> int:
+def cmd_check_euler(nodes: int = 64) -> int:
     if nodes < 2:
         raise UsageError("need at least 2 quadrature nodes")
-    ranges = list(EULER_ANGLE_RANGES)
-    if halve_phi6:
-        lo, hi = ranges[3]
-        ranges[3] = (lo, lo + (hi - lo) / 2)
-    volume = euler_coset_volume(nodes, ranges)
+    volume = euler_coset_volume(nodes)
     target = ball_volume(4)
     rel = abs(volume - target) / target
     print(f"euler volume ({nodes} nodes) = {volume:.15g}")
@@ -399,6 +449,8 @@ def cmd_check_euler(nodes: int = 64, halve_phi6: bool = False) -> int:
 
 
 def cmd_density(spectrum: Spectrum) -> int:
+    if spectrum.n_levels < 2:
+        raise UsageError("eigenvalue density needs at least 2 levels")
     try:
         value = eigenvalue_density(spectrum)
     except DegenerateSpectrumError as exc:
@@ -440,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_euler = sub.add_parser("check-euler", help="verify the Euler-angle volume quadrature")
     p_euler.add_argument("--nodes", type=int, default=64)
-    p_euler.add_argument("--halve-phi6", action="store_true", help=argparse.SUPPRESS)
 
     p_density = sub.add_parser("density", help="eigenvalue density of the volume element")
     p_density.add_argument("--spectrum", required=True)
@@ -471,7 +522,7 @@ def main(argv=None) -> int:
         if args.command == "check-jacobian":
             return cmd_check_jacobian(args.n, args.points, args.step, args.seed)
         if args.command == "check-euler":
-            return cmd_check_euler(args.nodes, args.halve_phi6)
+            return cmd_check_euler(args.nodes)
         if args.command == "density":
             return cmd_density(_parse_spectrum(args.spectrum))
         raise UsageError(f"unknown command {args.command!r}")

@@ -80,11 +80,11 @@ def legacy_csv_bytes(batch):
     header = ["method", "index"]
     header += [f"{p}_{j}_{k}" for p in ("re", "im") for j in range(1, n + 1) for k in range(1, n + 1)]
     writer.writerow(header + [f"rho_{j}{j}" for j in range(1, n + 1)])
-    for index, m in enumerate(batch.matrices):
+    for index, (m, diagonal) in enumerate(zip(batch.matrices, batch.diagonals)):
         cells = [batch.method, str(index)]
         cells += [f"{v:.17g}" for v in m.real.reshape(-1)]
         cells += [f"{v:.17g}" for v in m.imag.reshape(-1)]
-        cells += [f"{float(m[j, j].real):.17g}" for j in range(n)]
+        cells += [f"{v:.17g}" for v in diagonal.tolist()]
         writer.writerow(cells)
     return "".join(lines).encode()
 
@@ -92,13 +92,13 @@ def legacy_csv_bytes(batch):
 def legacy_jsonl_bytes(batch):
     """The per-record json.dumps format the record files have always had."""
     out = []
-    for index, m in enumerate(batch.matrices):
+    for index, (m, diagonal) in enumerate(zip(batch.matrices, batch.diagonals)):
         payload = {
             "method": batch.method,
             "index": index,
             "re": m.real.tolist(),
             "im": m.imag.tolist(),
-            "observables": {f"rho_{j}{j}": float(m[j - 1, j - 1].real) for j in range(1, batch.n_levels + 1)},
+            "observables": {f"rho_{j}{j}": v for j, v in enumerate(diagonal.tolist(), 1)},
         }
         out.append(json.dumps(payload, separators=(",", ":")) + "\n")
     return "".join(out).encode()
@@ -109,21 +109,76 @@ class _Sink:
         self.write = lines.append
 
 
+def _edited_batch(method, edit, edit_diagonals=None):
+    """150 N=4 states (three text blocks) with ``edit`` applied to the stack, then to the diagonals."""
+    sampled = batch_sample(method, Spectrum([0.7, 0.3, 0.0, 0.0]), None, 150, 9)
+    matrices = sampled.matrices.copy()
+    edit(matrices)
+    diagonals = np.diagonal(matrices, axis1=1, axis2=2).real.copy()
+    if edit_diagonals is not None:
+        edit_diagonals(diagonals)
+    return StateBatch(method, 9, sampled.spectrum, matrices, diagonals)
+
+
+def _specials(m):
+    # signed zeros, subnormals and short decimals, mostly without their mirrors
+    m[0, 0, 1] = complex(1e-300, -0.0)
+    m[1, 2, 3] = complex(-5e-324, 1.0 / 3.0)
+    m[2, 0, 0] = 0.1
+    m[3, 1, 1] = -0.0
+    m[70, 2, 2] = complex(m[70, 2, 2].real, -0.0)
+
+
+def _non_finite(m):
+    m[4, 0, 1] = complex(np.nan, m[4, 0, 1].imag)
+    m[5, 1, 2] = complex(np.inf, -np.inf)
+    m[5, 2, 1] = complex(np.inf, np.inf)
+    m[140, 3, 0] = complex(-np.inf, np.nan)
+
+
+def _zero_im_pair(m):
+    m[6, 0, 2], m[6, 2, 0] = m[6, 0, 2].real, m[6, 2, 0].real
+    m[71, 1, 3] = complex(m[71, 1, 3].real, -0.0)
+    m[71, 3, 1] = complex(m[71, 3, 1].real, 0.0)
+
+
+def _mirror_differs(m):
+    m[7, 1, 0] = complex(np.nextafter(m[7, 0, 1].real, 1.0), m[7, 1, 0].imag)
+    m[72, 3, 2] = complex(m[72, 3, 2].real, 2 * m[72, 3, 2].imag)
+
+
+def _diagonals_off(d):
+    d[8] += 1e-13
+    d[73, 1] = np.nextafter(d[73, 1], 0.0)
+
+
+def _zero_diagonal(m):
+    m[9, 3, 3] = 0.0
+
+
+def _negative_zero_rho(d):
+    d[9, 3] = -0.0
+
+
 @pytest.mark.parametrize("method", ["coset", "haar"])
 def test_write_records_bytes_match_the_per_record_format(tmp_path, method):
-    sampled = batch_sample(method, Spectrum([0.7, 0.3, 0.0, 0.0]), None, 30, 9)
-    # a fixed stack with signed zeros, subnormals and short decimals in it
-    matrices = sampled.matrices.copy()
-    matrices[0, 0, 1] = complex(1e-300, -0.0)
-    matrices[1, 2, 3] = complex(-5e-324, 1.0 / 3.0)
-    matrices[2, 0, 0] = 0.1
-    matrices[3, 1, 1] = -0.0
-    diagonals = np.diagonal(matrices, axis1=1, axis2=2).real.copy()
-    batch = StateBatch(method, 9, sampled.spectrum, matrices, diagonals)
-    for fmt, legacy in (("csv", legacy_csv_bytes), ("jsonl", legacy_jsonl_bytes)):
-        out = tmp_path / f"{method}.{fmt}"
-        write_records(batch, out, fmt)
-        assert out.read_bytes() == legacy(batch)
+    cases = {
+        "specials": _edited_batch(method, _specials),
+        "non-finite": _edited_batch(method, _non_finite),
+        "im-zero-pair": _edited_batch(method, _zero_im_pair),
+        "mirror-differs": _edited_batch(method, _mirror_differs),
+        "diagonals-off": _edited_batch(method, lambda m: None, _diagonals_off),
+        "rho-sign-bit": _edited_batch(method, _zero_diagonal, _negative_zero_rho),
+        "n10-zero-block": batch_sample(method, Spectrum([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0, 0, 0]),
+                                       None, 150, 4),
+        # one N=100 record per text block
+        "n100": batch_sample(method, Spectrum(np.arange(1.0, 101.0) / 5050), None, 3, 4),
+    }
+    for case, batch in cases.items():
+        for fmt, legacy in (("csv", legacy_csv_bytes), ("jsonl", legacy_jsonl_bytes)):
+            out = tmp_path / f"{case}.{fmt}"
+            write_records(batch, out, fmt)
+            assert out.read_bytes() == legacy(batch), (case, fmt)
 
 
 def test_sample_renormalizes_tiny_sum_error(tmp_path):
@@ -290,10 +345,16 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-finite value"),
         # the module runs as a script
         (None, ["volume", "-n", "3"], 0, "flag_volume(3) = "),
+        # a Gamma product overflows, so flag_volume(28) reads 0 and the ratio would divide by zero
+        (None, ["volume", "-n", "28"], 2, "overflow double precision"),
+        # Gamma overflows in the ball volumes
+        (None, ["volume", "-n", "200"], 2, "overflow double precision"),
+        (None, ["density", "--spectrum", "1"], 2, "at least 2 levels"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
-        "compare-bool-jsonl", "compare-nonfinite-jsonl", "module-volume",
+        "compare-bool-jsonl", "compare-nonfinite-jsonl", "module-volume", "volume-n28", "volume-n200",
+        "density-one-level",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -308,6 +369,7 @@ def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
         assert proc.stderr == ""
         assert says in proc.stdout
     else:
+        assert proc.stdout == ""
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert says is None or says in proc.stderr, proc.stderr
@@ -565,11 +627,10 @@ def test_check_euler_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_check_euler_halved_range_fails(capsys):
-    assert main(["check-euler", "--halve-phi6"]) == 1
-    report = capsys.readouterr().out
-    assert f"{math.pi**2 / 4:.6g}"[:6] in report
-    assert "FAIL" in report
+def test_check_euler_too_few_nodes_fails(capsys):
+    # three nodes leave a relative error of about 1.4e-3, far above EULER_BOUND
+    assert main(["check-euler", "--nodes", "3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ density
