@@ -10,7 +10,6 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +49,6 @@ class UsageError(BuresError):
     """Invalid command-line input or a malformed input file (maps to exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for a sampling run."""
-
-    spectrum: Spectrum
-    method: str
-    count: int
-    seed: int
-    output_path: str
-    format: str
-
-
 def _parse_spectrum(text: str) -> Spectrum:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
@@ -99,16 +86,14 @@ def _csv_header(n: int) -> list:
 WRITE_BLOCK_CAP = 64
 
 
-def _text_blocks(batch: StateBatch, fmt, fmt_one):
+def _text_blocks(batch: StateBatch, fmt):
     """(stream indices, entry texts (B, 2, N, N), rho_jj texts (B, N)) per text block of ``batch``.
 
-    Entry texts hold Re then Im of each state as ``fmt_one`` would format
-    them. A sampled state is Hermitian bit for bit, so |Re| and |Im| of an
-    entry equal those of its mirror: each magnitude on and above the diagonal
-    is formatted once, by ``fmt``, and every entry takes its own sign. An
-    entry whose magnitude differs from its mirror's, or is not finite, and a
-    rho_jj value that differs from the state's diagonal in value or sign bit,
-    goes through ``fmt_one`` on its own.
+    Entry texts hold Re then Im of each state as ``fmt`` formats them. The
+    states of a StateBatch are finite and Hermitian bit for bit, so |Re| and
+    |Im| of an entry equal those of its mirror: each magnitude on and above
+    the diagonal is formatted once and every entry takes its own sign. The
+    rho_jj texts are those of the Re diagonal.
     """
     n = batch.n_levels
     upper = np.triu_indices(n)
@@ -119,22 +104,15 @@ def _text_blocks(batch: StateBatch, fmt, fmt_one):
     for start in range(0, len(batch), step):
         matrices = batch.matrices[start : start + step]
         parts = np.stack((matrices.real, matrices.imag), axis=1)
-        mags = np.abs(parts)
-        plain = np.array(list(map(fmt, mags[:, :, upper[0], upper[1]].ravel().tolist())), dtype=object)
+        mags = np.abs(parts[:, :, upper[0], upper[1]])
+        plain = np.array(list(map(fmt, mags.ravel().tolist())), dtype=object)
         signed = np.concatenate((plain, np.add("-", plain)))
         first = np.arange(2 * len(matrices)).reshape(-1, 2, 1, 1) * size
         texts = signed[first + slot + np.signbit(parts) * plain.size]
-        for i in np.flatnonzero(~((mags == mags.swapaxes(2, 3)) & (mags < np.inf))):
-            texts.flat[i] = fmt_one(float(parts.flat[i]))
-        stored = batch.diagonals[start : start + step]
-        diagonal = np.diagonal(matrices.real, axis1=1, axis2=2)
-        diag = np.diagonal(texts[:, 0], axis1=1, axis2=2).copy()
-        for i in np.flatnonzero((stored != diagonal) | (np.signbit(stored) != np.signbit(diagonal))):
-            diag.flat[i] = fmt_one(float(stored.flat[i]))
-        yield batch.indices[start : start + step], texts, diag
+        yield batch.indices[start : start + step], texts, np.diagonal(texts[:, 0], axis1=1, axis2=2)
 
 
-#: Float text of the CSV format; unlike float.__repr__, it writes nan and inf bare.
+#: Float text of the CSV format.
 _csv_float = "%.17g".__mod__
 
 
@@ -143,7 +121,7 @@ def write_records_csv(batch: StateBatch, path) -> None:
     head = batch.method + ","
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_csv_header(batch.n_levels)) + "\n")
-        for indices, texts, diag in _text_blocks(batch, _csv_float, _csv_float):
+        for indices, texts, diag in _text_blocks(batch, _csv_float):
             rows = np.concatenate((texts.reshape(len(texts), -1), diag), axis=1).tolist()
             handle.write("".join(f"{head}{index},{','.join(row)}\n" for index, row in zip(indices, rows)))
 
@@ -154,7 +132,7 @@ def write_records_jsonl(batch: StateBatch, path) -> None:
     line = '{"method":' + json.dumps(batch.method) + ',"index":%d,"re":[[%s]],"im":[[%s]],"observables":{'
     line += observables + "}}\n"
     with open(path, "w") as handle:
-        for indices, texts, diag in _text_blocks(batch, float.__repr__, json.dumps):
+        for indices, texts, diag in _text_blocks(batch, float.__repr__):
             handle.write("".join(
                 line % (index, "],[".join(map(",".join, re)), "],[".join(map(",".join, im)), *rho)
                 for index, (re, im), rho in zip(indices, texts.tolist(), diag.tolist())
@@ -167,7 +145,9 @@ def write_records(batch: StateBatch, path, fmt: str) -> None:
     The bytes are those of formatting each record on its own: json.dumps of
     the record object with separators (",", ":") for JSONL, a %.17g cell per
     float for CSV. Text is built a block of records at a time, formatting each
-    distinct entry magnitude of the Hermitian states once.
+    distinct entry magnitude of the Hermitian states once. ``StateBatch``
+    admits only finite, exactly Hermitian states, so every file written here
+    passes ``read_records``' finiteness and Hermiticity checks.
     """
     if fmt == "csv":
         write_records_csv(batch, path)
@@ -223,9 +203,8 @@ def _csv_rows(handle, path):
     n = math.isqrt(sum(label.startswith("re_") for label in header))
     if n < 1:
         raise UsageError(f"no re_j_k columns in {path}")
-    labels = ["method", "index"] + _entry_labels("re", n) + _entry_labels("im", n) + _diag_labels(n)
     nn = n * n
-    for line, (method, index, *cells) in _picked_cells(reader, header, labels, path):
+    for line, (method, index, *cells) in _picked_cells(reader, header, _csv_header(n), path):
         try:
             numbers = list(map(float, cells))
             index = int(index)
@@ -297,7 +276,9 @@ def _jsonl_rows(handle, path):
                 )
             observables = payload["observables"]
             diagonal = [float(observables[label]) for label in labels]
-            index = int(payload["index"])
+            index = payload["index"]
+            if type(index) is not int:  # a JSON integer: not 1.5, true, "7" or null
+                raise UsageError(f"{path}, line {line}: index {index!r} is not an integer")
             method = str(payload["method"])
         except KeyError as exc:
             raise UsageError(f"{path}, line {line}: no {exc} entry") from exc
@@ -355,24 +336,24 @@ def _cell_value(cell, column: str, path) -> float:
     return value
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    batch = batch_sample(cfg.method, cfg.spectrum, None, cfg.count, cfg.seed)
-    write_records(batch, cfg.output_path, cfg.format)
-    print(f"wrote {len(batch)} {cfg.method} records to {cfg.output_path}")
+def cmd_sample(spectrum: Spectrum, method: str, count: int, seed: int, output_path, fmt: str) -> int:
+    batch = batch_sample(method, spectrum, count, seed)
+    write_records(batch, output_path, fmt)
+    print(f"wrote {len(batch)} {method} records to {output_path}")
     return EXIT_OK
 
 
 def cmd_volume(n: int) -> int:
     if n < 2:
         raise UsageError("volume tables need at least 2 levels")
-    out_of_range = UsageError(f"volume tables for {n} levels overflow double precision")
+    out_of_range = UsageError(f"volume tables for {n} levels leave the range of normal doubles")
     try:
         balls = [ball_volume(2 * k) for k in range(1, n)]
         flag, flag_sz = flag_volume(n), flag_volume_sz(n)
     except OverflowError as exc:
         raise out_of_range from exc
     product = math.prod(balls)
-    # a Gamma product that overflows to inf turns a volume into 0; print no such number
+    # from N=37 flag_volume is subnormal (about 1e-311); print no such number
     values = balls + [flag, flag_sz, product]
     if not all(sys.float_info.min <= v < math.inf for v in values):
         raise out_of_range
@@ -506,15 +487,7 @@ def main(argv=None) -> int:
             spectrum = _parse_spectrum(args.spectrum)
             if args.count < 1:
                 raise UsageError("count must be at least 1")
-            cfg = RunConfig(
-                spectrum=spectrum,
-                method=args.method,
-                count=args.count,
-                seed=args.seed,
-                output_path=args.output,
-                format=args.format,
-            )
-            return cmd_sample(cfg)
+            return cmd_sample(spectrum, args.method, args.count, args.seed, args.output, args.format)
         if args.command == "volume":
             return cmd_volume(args.levels)
         if args.command == "compare":

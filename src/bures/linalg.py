@@ -102,11 +102,3 @@ def hermitian_eig(h) -> EigenDecomposition:
         raise ConvergenceError("eigenvalue iteration failed to converge") from exc
     return EigenDecomposition(w, v)
 
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))

@@ -25,6 +25,7 @@ from .coset import (
     flag_unitary,
 )
 from .errors import (
+    NotHermitianError,
     OutOfBallError,
     ShapeError,
     SingularMatrixError,
@@ -53,8 +54,11 @@ INTERIOR_MARGIN = 1e-2
 METHODS = ("haar", "coset")
 
 #: Largest difference accepted between a rho_jj observable and the state's
-#: diagonal entry. Checks test ``<= OBSERVABLE_TOL`` and reject what fails it,
-#: so a NaN observable is rejected too.
+#: diagonal entry, where the two arrive separately: in ``SampleRecord`` and in
+#: ``records_from_stack``, which checks what a record file holds. A StateBatch
+#: derives its diagonals and needs no such check. Checks test
+#: ``<= OBSERVABLE_TOL`` and reject what fails it, so a NaN observable is
+#: rejected too.
 OBSERVABLE_TOL = 1e-12
 
 
@@ -270,30 +274,34 @@ BLOCK_BYTES = 1 << 18
 class StateBatch:
     """Sampled states as one stack; record i was drawn from stream (seed, i).
 
-    ``matrices`` has shape (count, N, N). ``diagonals`` (count, N) holds
-    their real diagonals, the rho_jj observables; consistency is checked at
-    construction. ``seed`` is None for states built from explicit charts.
+    ``matrices`` has shape (count, N, N) and holds finite states equal to
+    their conjugate transposes bit for bit, checked at construction block by
+    block. ``diagonals`` (count, N), the rho_jj observables, are derived from
+    them. ``seed`` is None for states built from explicit charts.
     """
 
     method: str
     seed: int | None
     spectrum: Spectrum
     matrices: np.ndarray
-    diagonals: np.ndarray
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
         n = self.spectrum.n_levels
         count = self.matrices.shape[0]
-        if self.matrices.shape != (count, n, n) or self.diagonals.shape != (count, n):
-            raise ShapeError(
-                f"matrices {self.matrices.shape} and diagonals {self.diagonals.shape} "
-                f"do not hold {n}-level states"
-            )
-        diag = np.diagonal(self.matrices, axis1=1, axis2=2).real
-        if not np.all(np.abs(self.diagonals - diag) <= OBSERVABLE_TOL):
-            raise ValueError("diagonals inconsistent with the states")
+        if self.matrices.shape != (count, n, n):
+            raise ShapeError(f"matrices {self.matrices.shape} do not hold {n}-level states")
+        # block by block: a whole-stack conjugate transpose would raise peak memory
+        for start, stop in _blocks(count, n):
+            block = self.matrices[start:stop]
+            finite = np.isfinite(block).all(axis=(1, 2))
+            if not finite.all():
+                raise ShapeError(f"record {start + int(np.argmin(finite))}: matrix entries must be finite")
+            hermitian = (block == block.conj().transpose(0, 2, 1)).all(axis=(1, 2))
+            if not hermitian.all():
+                row = start + int(np.argmin(hermitian))
+                raise NotHermitianError(f"record {row}: state differs from its conjugate transpose")
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -301,6 +309,11 @@ class StateBatch:
     @property
     def n_levels(self) -> int:
         return self.spectrum.n_levels
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """(count, N) real diagonals of the states: their rho_jj observables."""
+        return np.diagonal(self.matrices, axis1=1, axis2=2).real
 
     @property
     def indices(self) -> range:
@@ -439,18 +452,16 @@ def _assemble(method: str, seed, spectrum: Spectrum, count: int, unitaries_for) 
     matrices = np.empty((count, n, n), dtype=complex)
     for start, stop in _blocks(count, n):
         _store_states(spectrum, unitaries_for(start, stop), matrices[start:stop], start)
-    diagonals = np.diagonal(matrices, axis1=1, axis2=2).real.copy()
-    return StateBatch(method, seed, spectrum, matrices, diagonals)
+    return StateBatch(method, seed, spectrum, matrices)
 
 
-def batch_from_charts(spectrum: Spectrum, pattern, coords) -> StateBatch:
+def batch_from_charts(spectrum: Spectrum, coords) -> StateBatch:
     """Coset states for explicit chart coordinates, one row per record (diagnostics and tests).
 
-    Rows are laid out as ``sample_chart_coords`` returns them. ``pattern`` may
-    be None, in which case it is inferred from the spectrum.
+    Rows are laid out as ``sample_chart_coords`` returns them for the
+    spectrum's pattern (``pattern_for_spectrum``).
     """
-    if pattern is None:
-        pattern = pattern_for_spectrum(spectrum)
+    pattern = pattern_for_spectrum(spectrum)
     _check_pattern(spectrum, pattern)
     dims = coset_layers_for(pattern)
     coords = np.asarray(coords, dtype=float)
@@ -463,10 +474,10 @@ def batch_from_charts(spectrum: Spectrum, pattern, coords) -> StateBatch:
     )
 
 
-def batch_sample(method: str, spectrum: Spectrum, pattern, count: int, seed: int) -> StateBatch:
+def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> StateBatch:
     """StateBatch of ``count`` states, record i drawn from stream (seed, i).
 
-    ``pattern`` may be None, in which case it is inferred from the spectrum.
+    The coset ladder is the spectrum's pattern (``pattern_for_spectrum``).
     Record i does not depend on ``count``, so a batch's first k records equal
     a count-k batch bit for bit.
     """
@@ -474,8 +485,7 @@ def batch_sample(method: str, spectrum: Spectrum, pattern, count: int, seed: int
         raise ValueError("count must be at least 1")
     if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
-    if pattern is None:
-        pattern = pattern_for_spectrum(spectrum)
+    pattern = pattern_for_spectrum(spectrum)
     if method == "coset":
         _check_pattern(spectrum, pattern)
     dims = coset_layers_for(pattern)

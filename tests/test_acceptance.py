@@ -89,12 +89,12 @@ def test_c4_method_equivalence_three_levels():
     """(rho)_33 for spectrum (1/2, 3/8, 1/8): coset vs haar at n = m = 1000."""
     passes = 0
     for rep in range(100):
-        haar = batch_sample("haar", REF_SPECTRUM, None, 1000, 2 * rep)
-        coset = batch_sample("coset", REF_SPECTRUM, None, 1000, 2 * rep + 1)
+        haar = batch_sample("haar", REF_SPECTRUM, 1000, 2 * rep)
+        coset = batch_sample("coset", REF_SPECTRUM, 1000, 2 * rep + 1)
         result = ks_two_sample(diag_column(haar, 3), diag_column(coset, 3))
         passes += result.passed
-    haar = batch_sample("haar", REF_SPECTRUM, None, 1000, 0)
-    coset = batch_sample("coset", REF_SPECTRUM, None, 1000, 1)
+    haar = batch_sample("haar", REF_SPECTRUM, 1000, 0)
+    coset = batch_sample("coset", REF_SPECTRUM, 1000, 1)
     pairs = cumulative_pairs(diag_column(haar, 3), diag_column(coset, 3))
     sup_dev = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1])))
     ok = passes >= 95 and sup_dev < 0.073
@@ -114,8 +114,8 @@ def test_c5_method_equivalence_larger_systems():
     ok = True
     worst = 0.0
     for spectrum, seed_h, seed_c in cases:
-        haar = batch_sample("haar", spectrum, None, 1000, seed_h)
-        coset = batch_sample("coset", spectrum, None, 1000, seed_c)
+        haar = batch_sample("haar", spectrum, 1000, seed_h)
+        coset = batch_sample("coset", spectrum, 1000, seed_c)
         for j in range(1, spectrum.n_levels + 1):
             result = ks_two_sample(diag_column(haar, j), diag_column(coset, j))
             ok = ok and result.passed
@@ -133,14 +133,14 @@ def test_c6_degenerate_ladders():
     ok = ok and coset_layers_for(DegeneracyPattern(4, 2)) == (4, 6)
 
     # rank-one three-level states: analytic marginal CDF 1 - (1-t)^2
-    pure = batch_sample("coset", Spectrum([1.0, 0.0, 0.0]), None, 1000, 23)
+    pure = batch_sample("coset", Spectrum([1.0, 0.0, 0.0]), 1000, 23)
     stat_pure = one_sample_ks(diag_column(pure, 3), lambda t: 1.0 - (1.0 - t) ** 2)
     ok = ok and stat_pure < 1.6276 / math.sqrt(1000)
 
     # rank-two four-level spectrum: spectrum preserved, diagonals match haar
     sdeg = Spectrum([0.7, 0.3, 0.0, 0.0])
-    coset = batch_sample("coset", sdeg, None, 1000, 54)
-    haar = batch_sample("haar", sdeg, None, 1000, 55)
+    coset = batch_sample("coset", sdeg, 1000, 54)
+    haar = batch_sample("haar", sdeg, 1000, 55)
     for matrix in coset.matrices[:25]:
         eigs = np.linalg.eigvalsh(matrix)[::-1]
         ok = ok and np.allclose(eigs, sdeg.values, atol=1e-12)
@@ -214,9 +214,9 @@ def test_c9_reproducibility(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     c = tmp_path / "c.csv"
-    write_records_csv(batch_sample("coset", REF_SPECTRUM, None, 50, 11), a)
-    write_records_csv(batch_sample("coset", REF_SPECTRUM, None, 50, 11), b)
-    write_records_csv(batch_sample("coset", REF_SPECTRUM, None, 50, 12), c)
+    write_records_csv(batch_sample("coset", REF_SPECTRUM, 50, 11), a)
+    write_records_csv(batch_sample("coset", REF_SPECTRUM, 50, 11), b)
+    write_records_csv(batch_sample("coset", REF_SPECTRUM, 50, 12), c)
     same = a.read_bytes() == b.read_bytes()
     different = a.read_bytes() != c.read_bytes()
     verdict("c9 reproducibility", same and different, "CSV bytes compared")

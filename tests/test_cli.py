@@ -66,7 +66,7 @@ def test_sample_zero_layer_hook_writes_the_diagonal_model(tmp_path):
     # all-zero chart coordinates through the batched kernel, written and read back
     out = tmp_path / "diag.csv"
     spectrum = Spectrum([0.5, 0.375, 0.125])
-    write_records(batch_from_charts(spectrum, None, np.zeros((1, 2 + 4))), out, "csv")
+    write_records(batch_from_charts(spectrum, np.zeros((1, 2 + 4))), out, "csv")
     (record,) = read_records(out)
     expected = np.diag(spectrum.ascending_diagonal())
     assert np.array_equal(record.rho.matrix, expected)
@@ -109,31 +109,28 @@ class _Sink:
         self.write = lines.append
 
 
-def _edited_batch(method, edit, edit_diagonals=None):
-    """150 N=4 states (three text blocks) with ``edit`` applied to the stack, then to the diagonals."""
-    sampled = batch_sample(method, Spectrum([0.7, 0.3, 0.0, 0.0]), None, 150, 9)
+def _edited_batch(method, edit):
+    """150 N=4 states (three text blocks) with ``edit`` applied to the stack."""
+    sampled = batch_sample(method, Spectrum([0.7, 0.3, 0.0, 0.0]), 150, 9)
     matrices = sampled.matrices.copy()
     edit(matrices)
-    diagonals = np.diagonal(matrices, axis1=1, axis2=2).real.copy()
-    if edit_diagonals is not None:
-        edit_diagonals(diagonals)
-    return StateBatch(method, 9, sampled.spectrum, matrices, diagonals)
+    return StateBatch(method, 9, sampled.spectrum, matrices)
+
+
+def _set_hermitian(m, record, j, k, value):
+    """Entry (j, k) of ``record`` becomes ``value`` and its mirror the conjugate."""
+    m[record, j, k] = value
+    if j != k:
+        m[record, k, j] = np.conj(value)
 
 
 def _specials(m):
-    # signed zeros, subnormals and short decimals, mostly without their mirrors
-    m[0, 0, 1] = complex(1e-300, -0.0)
-    m[1, 2, 3] = complex(-5e-324, 1.0 / 3.0)
+    # signed zeros, subnormals and short decimals
+    _set_hermitian(m, 0, 0, 1, complex(1e-300, -0.0))
+    _set_hermitian(m, 1, 2, 3, complex(-5e-324, 1.0 / 3.0))
     m[2, 0, 0] = 0.1
     m[3, 1, 1] = -0.0
     m[70, 2, 2] = complex(m[70, 2, 2].real, -0.0)
-
-
-def _non_finite(m):
-    m[4, 0, 1] = complex(np.nan, m[4, 0, 1].imag)
-    m[5, 1, 2] = complex(np.inf, -np.inf)
-    m[5, 2, 1] = complex(np.inf, np.inf)
-    m[140, 3, 0] = complex(-np.inf, np.nan)
 
 
 def _zero_im_pair(m):
@@ -142,37 +139,19 @@ def _zero_im_pair(m):
     m[71, 3, 1] = complex(m[71, 3, 1].real, 0.0)
 
 
-def _mirror_differs(m):
-    m[7, 1, 0] = complex(np.nextafter(m[7, 0, 1].real, 1.0), m[7, 1, 0].imag)
-    m[72, 3, 2] = complex(m[72, 3, 2].real, 2 * m[72, 3, 2].imag)
-
-
-def _diagonals_off(d):
-    d[8] += 1e-13
-    d[73, 1] = np.nextafter(d[73, 1], 0.0)
-
-
 def _zero_diagonal(m):
     m[9, 3, 3] = 0.0
-
-
-def _negative_zero_rho(d):
-    d[9, 3] = -0.0
 
 
 @pytest.mark.parametrize("method", ["coset", "haar"])
 def test_write_records_bytes_match_the_per_record_format(tmp_path, method):
     cases = {
         "specials": _edited_batch(method, _specials),
-        "non-finite": _edited_batch(method, _non_finite),
         "im-zero-pair": _edited_batch(method, _zero_im_pair),
-        "mirror-differs": _edited_batch(method, _mirror_differs),
-        "diagonals-off": _edited_batch(method, lambda m: None, _diagonals_off),
-        "rho-sign-bit": _edited_batch(method, _zero_diagonal, _negative_zero_rho),
-        "n10-zero-block": batch_sample(method, Spectrum([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0, 0, 0]),
-                                       None, 150, 4),
+        "zero-diagonal": _edited_batch(method, _zero_diagonal),
+        "n10-zero-block": batch_sample(method, Spectrum([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0, 0, 0]), 150, 4),
         # one N=100 record per text block
-        "n100": batch_sample(method, Spectrum(np.arange(1.0, 101.0) / 5050), None, 3, 4),
+        "n100": batch_sample(method, Spectrum(np.arange(1.0, 101.0) / 5050), 3, 4),
     }
     for case, batch in cases.items():
         for fmt, legacy in (("csv", legacy_csv_bytes), ("jsonl", legacy_jsonl_bytes)):
@@ -249,6 +228,15 @@ def test_volume_ratio_grows_with_levels(capsys):
 
 def test_volume_rejects_small_n():
     assert main(["volume", "-n", "1"]) == 2
+
+
+@pytest.mark.parametrize("n", [28, 36])
+def test_volume_past_the_gamma_overflow_matches_the_ball_product(capsys, n):
+    assert main(["volume", "-n", str(n)]) == 0
+    values = parse_report(capsys.readouterr().out)
+    assert values[f"flag_volume({n})"] == pytest.approx(values["ball product"], rel=1e-12)
+    assert values[f"flag_volume_sz({n})"] == pytest.approx(values["ball product"] * values["ratio"], rel=1e-12)
+    assert values["ratio"] == pytest.approx(2.0 ** (n * (n - 1) / 2), rel=1e-12)
 
 
 # ------------------------------------------------------------------ compare
@@ -345,15 +333,17 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-finite value"),
         # the module runs as a script
         (None, ["volume", "-n", "3"], 0, "flag_volume(3) = "),
-        # a Gamma product overflows, so flag_volume(28) reads 0 and the ratio would divide by zero
-        (None, ["volume", "-n", "28"], 2, "overflow double precision"),
+        # the Gamma product alone overflows here; the volumes are summed in log space
+        (None, ["volume", "-n", "28"], 0, "flag_volume(28) = "),
+        # flag_volume(37) is about 1e-311, a subnormal double
+        (None, ["volume", "-n", "37"], 2, "leave the range of normal doubles"),
         # Gamma overflows in the ball volumes
-        (None, ["volume", "-n", "200"], 2, "overflow double precision"),
+        (None, ["volume", "-n", "200"], 2, "leave the range of normal doubles"),
         (None, ["density", "--spectrum", "1"], 2, "at least 2 levels"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
-        "compare-bool-jsonl", "compare-nonfinite-jsonl", "module-volume", "volume-n28", "volume-n200",
+        "compare-bool-jsonl", "compare-nonfinite-jsonl", "module-volume", "volume-n28", "volume-n37", "volume-n200",
         "density-one-level",
     ],
 )
@@ -391,7 +381,7 @@ def test_read_column_rejects_non_finite_jsonl_cells(tmp_path, cell):
 )
 def test_read_column_matches_records(tmp_path, fmt, values):
     out = tmp_path / f"col.{fmt}"
-    write_records(batch_sample("coset", Spectrum(values), None, 300, 8), out, fmt)
+    write_records(batch_sample("coset", Spectrum(values), 300, 8), out, fmt)
     records = read_records(out)
     for column in records[0].observables:
         want = np.array([r.observables[column] for r in records])
@@ -472,13 +462,13 @@ def assert_records_identical(got, want):
 )
 def test_read_records_matches_the_per_record_path(tmp_path, fmt, method, values, count):
     out = tmp_path / f"{method}.{fmt}"
-    write_records(batch_sample(method, Spectrum(values), None, count, 13), out, fmt)
+    write_records(batch_sample(method, Spectrum(values), count, 13), out, fmt)
     assert_records_identical(read_records(out), per_record_read(out))
 
 
 def test_read_records_takes_csv_columns_in_any_order(tmp_path):
     out = tmp_path / "plain.csv"
-    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), None, 300, 4), out, "csv")
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 300, 4), out, "csv")
     rows = list(csv.reader(out.read_text().splitlines()))
     order = np.random.default_rng(0).permutation(len(rows[0]))
     assert list(order) != sorted(order)
@@ -491,7 +481,7 @@ def test_read_records_takes_csv_columns_in_any_order(tmp_path):
 def edited_file(tmp_path, edit):
     """A 600-record N=3 CSV whose rows (header first) went through ``edit``."""
     out = tmp_path / "edited.csv"
-    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), None, 600, 21), out, "csv")
+    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), 600, 21), out, "csv")
     rows = list(csv.reader(out.read_text().splitlines()))
     edit(rows)
     with out.open("w", newline="") as handle:
@@ -582,9 +572,21 @@ def test_read_records_rejects_malformed_csv(tmp_path, edit, names):
         read_records(edited_file(tmp_path, edit))
 
 
+@pytest.mark.parametrize("index", ["1.5", "true", '"7"', "null"])
+def test_read_records_rejects_a_jsonl_index_that_is_not_an_integer(tmp_path, index):
+    out = tmp_path / "index.jsonl"
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 3, 2), out, "jsonl")
+    lines = out.read_text().splitlines()
+    assert '"index":1,' in lines[1]
+    lines[1] = lines[1].replace('"index":1,', f'"index":{index},')
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match="line 2"):
+        read_records(out)
+
+
 def test_read_records_and_read_column_reject_malformed_jsonl(tmp_path):
     out = tmp_path / "bad.jsonl"
-    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), None, 3, 2), out, "jsonl")
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 3, 2), out, "jsonl")
     lines = out.read_text().splitlines()
     lines[1] = "{not json"
     out.write_text("\n".join(lines) + "\n")

@@ -5,7 +5,6 @@ from bures.errors import NotHermitianError, ShapeError, SingularMatrixError
 from bures.linalg import (
     ComplexMatrix,
     adjoint,
-    frobenius_distance,
     hermitian_eig,
     matmul,
     qr_decompose,
@@ -154,17 +153,6 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_hermitian_eig_rejects_rectangular():
     with pytest.raises(ShapeError):
         hermitian_eig(np.ones((2, 3)))
-
-
-def test_frobenius_distance_cases():
-    assert frobenius_distance(np.eye(2), np.eye(2)) == 0.0
-    assert frobenius_distance(np.zeros((2, 2)), np.eye(2)) == pytest.approx(np.sqrt(2))
-    assert frobenius_distance(np.array([[3.0]]), np.array([[-1.0]])) == 4.0
-
-
-def test_frobenius_distance_shape_mismatch():
-    with pytest.raises(ShapeError):
-        frobenius_distance(np.eye(2), np.eye(3))
 
 
 def test_trace_is_cyclic_under_matmul():

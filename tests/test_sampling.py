@@ -3,7 +3,7 @@ import pytest
 
 import bures.sampling
 from bures.coset import BallPoint, DegeneracyPattern, FlagChart
-from bures.errors import ShapeError, UnsupportedPatternError
+from bures.errors import NotHermitianError, ShapeError, UnsupportedPatternError
 from bures.measures import Spectrum
 from bures.sampling import (
     BLOCK_BYTES,
@@ -167,8 +167,8 @@ def test_zero_chart_gives_the_diagonal_model(spectrum3):
 
 def test_methods_agree_on_all_diagonals(spectrum3):
     # same unitary ensemble reached through two very different routes
-    haar = batch_sample("haar", spectrum3, None, 1000, 1000)
-    coset = batch_sample("coset", spectrum3, None, 1000, 1001)
+    haar = batch_sample("haar", spectrum3, 1000, 1000)
+    coset = batch_sample("coset", spectrum3, 1000, 1001)
     for j in (1, 2, 3):
         label = f"rho_{j}{j}"
         result = ks_two_sample(haar.diagonals[:, j - 1], coset.diagonals[:, j - 1])
@@ -178,7 +178,7 @@ def test_methods_agree_on_all_diagonals(spectrum3):
 def test_pure_state_marginal_law():
     # rank-one states from the reduced ladder: (rho)_33 has CDF 1 - (1-t)^2
     s = Spectrum([1.0, 0.0, 0.0])
-    records = batch_sample("coset", s, None, 2000, 23)
+    records = batch_sample("coset", s, 2000, 23)
     values = records.diagonals[:, 2]
     stat = one_sample_ks(values, lambda t: 1.0 - (1.0 - t) ** 2)
     assert stat < 1.6276 / np.sqrt(len(values))
@@ -225,30 +225,30 @@ def test_coset_rejects_mismatched_patterns():
 
 
 def test_batch_sample_is_reproducible(spectrum3):
-    a = batch_sample("coset", spectrum3, None, 8, 99)
-    b = batch_sample("coset", spectrum3, None, 8, 99)
+    a = batch_sample("coset", spectrum3, 8, 99)
+    b = batch_sample("coset", spectrum3, 8, 99)
     for ma, mb in zip(a.matrices, b.matrices):
         assert np.array_equal(ma, mb)
     assert list(a.indices) == list(range(8))
 
 
 def test_batch_sample_seeds_are_independent(spectrum3):
-    a = batch_sample("haar", spectrum3, None, 2, 101)
-    b = batch_sample("haar", spectrum3, None, 2, 102)
+    a = batch_sample("haar", spectrum3, 2, 101)
+    b = batch_sample("haar", spectrum3, 2, 102)
     assert not np.array_equal(a.matrices[0], b.matrices[0])
 
 
 def test_batch_sample_disjoint_seeds_agree(spectrum3):
     # two fresh coset batches are draws from one distribution
-    a = batch_sample("coset", spectrum3, None, 500, 70)
-    b = batch_sample("coset", spectrum3, None, 500, 71)
+    a = batch_sample("coset", spectrum3, 500, 70)
+    b = batch_sample("coset", spectrum3, 500, 71)
     result = ks_two_sample(a.diagonals[:, 2], b.diagonals[:, 2])
     assert result.passed
 
 
 def test_batch_sample_zero_layer_hook(spectrum3):
     # all-zero chart coordinates through the batched kernel
-    batch = batch_from_charts(spectrum3, None, np.zeros((3, 2 + 4)))
+    batch = batch_from_charts(spectrum3, np.zeros((3, 2 + 4)))
     target = np.diag(spectrum3.ascending_diagonal())
     for matrix in batch.matrices:
         assert np.array_equal(matrix, target)
@@ -256,20 +256,51 @@ def test_batch_sample_zero_layer_hook(spectrum3):
 
 def test_batch_sample_validation(spectrum3):
     with pytest.raises(ValueError):
-        batch_sample("coset", spectrum3, None, 0, 1)
+        batch_sample("coset", spectrum3, 0, 1)
     with pytest.raises(ValueError):
-        batch_sample("bogus", spectrum3, None, 1, 1)
+        batch_sample("bogus", spectrum3, 1, 1)
     with pytest.raises(ValueError):
-        batch_from_charts(spectrum3, None, np.zeros((1, 4)))
+        batch_from_charts(spectrum3, np.zeros((1, 4)))
 
 
-@pytest.mark.parametrize("value", [np.nan, 1e-6])
-def test_state_batch_rejects_inconsistent_diagonals(spectrum3, value):
-    batch = batch_sample("haar", spectrum3, None, 4, 3)
-    diagonals = batch.diagonals.copy()
-    diagonals[2, 1] += value
-    with pytest.raises(ValueError, match="diagonals inconsistent"):
-        StateBatch("haar", 3, spectrum3, batch.matrices, diagonals)
+def _entry(j, k, change):
+    """Edit of a stack: entry (j, k) of record 1900 becomes change(old entry)."""
+
+    def edit(m):
+        m[1900, j, k] = change(m[1900, j, k])
+
+    return edit
+
+
+def _both(*edits):
+    def edit(m):
+        for each in edits:
+            each(m)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (_entry(0, 1, lambda z: complex(np.nan, z.imag)), ShapeError),
+        # a mirror pair equal to its conjugate, but infinite
+        (_both(_entry(1, 2, lambda z: complex(np.inf, -np.inf)), _entry(2, 1, lambda z: complex(np.inf, np.inf))),
+         ShapeError),
+        (_entry(2, 2, lambda z: -np.inf), ShapeError),
+        (_entry(1, 0, lambda z: complex(np.nextafter(z.real, 1.0), z.imag)), NotHermitianError),
+        (_entry(2, 1, lambda z: complex(z.real, 2 * z.imag)), NotHermitianError),
+        (_entry(1, 1, lambda z: complex(z.real, 1e-300)), NotHermitianError),
+    ],
+    ids=["nan", "inf-pair", "minus-inf-diagonal", "mirror-ulp-off", "mirror-im-doubled", "diagonal-im"],
+)
+def test_state_batch_rejects_non_finite_or_non_hermitian_stacks(spectrum3, edit, error):
+    # 2000 N=3 states: record 1900 lies in the second check block
+    batch = batch_sample("haar", spectrum3, 2000, 3)
+    matrices = batch.matrices.copy()
+    edit(matrices)
+    with pytest.raises(error, match="^record 1900: "):
+        StateBatch("haar", 3, spectrum3, matrices)
 
 
 # ------------------------------------------------- batch path vs scalar oracle
@@ -319,7 +350,7 @@ def scalar_states(method, spectrum, seed, count):
 )
 def test_batch_states_match_scalar_samplers(method, values):
     spectrum = Spectrum(values)
-    batch = batch_sample(method, spectrum, None, 60, 8)
+    batch = batch_sample(method, spectrum, 60, 8)
     expected = scalar_states(method, spectrum, 8, 60)
     assert batch.method == method and batch.seed == 8 and len(batch) == 60
     assert np.max(np.abs(batch.matrices - expected)) <= 1e-13
@@ -328,8 +359,8 @@ def test_batch_states_match_scalar_samplers(method, values):
 
 @pytest.mark.parametrize("method", ["coset", "haar"])
 def test_batch_count_prefix(method, spectrum4):
-    short = batch_sample(method, spectrum4, None, 5, 31)
-    long = batch_sample(method, spectrum4, None, 7, 31)
+    short = batch_sample(method, spectrum4, 5, 31)
+    long = batch_sample(method, spectrum4, 7, 31)
     assert np.array_equal(long.matrices[:5], short.matrices)
     assert np.array_equal(long.diagonals[:5], short.diagonals)
 
@@ -341,7 +372,7 @@ def test_batch_spanning_several_blocks_matches_oracle(method):
     spectrum = Spectrum(values / values.sum())
     per_block = BLOCK_BYTES // (16 * n * n)
     count = 2 * per_block + 2
-    batch = batch_sample(method, spectrum, None, count, 4)
+    batch = batch_sample(method, spectrum, count, 4)
     assert np.max(np.abs(batch.matrices - scalar_states(method, spectrum, 4, count))) <= 1e-13
 
 
@@ -361,7 +392,7 @@ def test_haar_batch_takes_the_scalar_fallback_on_rank_deficient_qr(spectrum3, mo
 
     monkeypatch.setattr(bures.sampling, "qr_decompose_stack", deficient_qr)
     monkeypatch.setattr(bures.sampling, "sample_haar_unitary", spy)
-    batch = batch_sample("haar", spectrum3, None, 4, 12)
+    batch = batch_sample("haar", spectrum3, 4, 12)
     assert fallback_streams == [2]
     monkeypatch.undo()
     expected = scalar_states("haar", spectrum3, 12, 4)
