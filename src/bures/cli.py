@@ -6,6 +6,7 @@ check, 2 invalid input, 3 I/O failure.
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import operator
@@ -65,6 +66,14 @@ def _parse_spectrum(text: str) -> Spectrum:
         return Spectrum(np.array(values) / total)
     except BuresError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_seed(seed: int) -> int:
+    # RngStream keys on the seed modulo 2^64; a seed outside that range would
+    # silently alias one inside it
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"seed {seed} outside [0, 2^64)")
+    return seed
 
 
 def _diag_labels(n: int) -> list:
@@ -256,35 +265,46 @@ def _jsonl_objects(handle, path, decode=json.loads):
         yield line, payload
 
 
-def _jsonl_rows(handle, path):
-    """(method, index, re, im, rho_jj) per line of a JSONL record file, re and im as arrays.
+def _square(rows, n: int) -> bool:
+    """Whether a JSON value is an (n, n) matrix: a list of n lists of n entries."""
+    return type(rows) is list and len(rows) == n and all(type(row) is list and len(row) == n for row in rows)
 
-    The first record fixes the level count for the file.
+
+def _jsonl_rows(handle, path):
+    """(method, index, re, im, rho_jj) per line of a JSONL record file, re and im flat.
+
+    The first record fixes the level count for the file. Every entry and
+    observable must be a JSON number, checked by one type pass per record:
+    a float conversion would also take a numeric string or a boolean.
     """
     n = labels = None
+    chain = itertools.chain.from_iterable
     for line, payload in _jsonl_objects(handle, path):
         try:
-            re = np.array(payload["re"], dtype=float)
-            im = np.array(payload["im"], dtype=float)
+            re, im, observables = payload["re"], payload["im"], payload["observables"]
             if n is None:
-                n = re.shape[0] if re.ndim == 2 else 0
+                n = len(re) if type(re) is list else 0
                 labels = _diag_labels(n)
-            if n < 1 or re.shape != (n, n) or im.shape != (n, n):
+            if n < 1 or not (_square(re, n) and _square(im, n)):
                 raise UsageError(
-                    f"{path}, line {line}: re and im have shapes {re.shape} and {im.shape}; "
-                    f"want two ({n}, {n}) matrices, N from the first record"
+                    f"{path}, line {line}: want re and im as two ({n}, {n}) matrices, N from the first record"
                 )
-            observables = payload["observables"]
-            diagonal = [float(observables[label]) for label in labels]
+            cells = [*chain(re), *chain(im), *map(observables.__getitem__, labels)]
+            kinds = set(map(type, cells)) - {int, float}
+            if kinds:
+                names = ", ".join(sorted(kind.__name__ for kind in kinds))
+                raise UsageError(f"{path}, line {line}: {names} where a JSON number belongs")
+            numbers = np.array(cells, dtype=float)
             index = payload["index"]
             if type(index) is not int:  # a JSON integer: not 1.5, true, "7" or null
                 raise UsageError(f"{path}, line {line}: index {index!r} is not an integer")
             method = str(payload["method"])
         except KeyError as exc:
             raise UsageError(f"{path}, line {line}: no {exc} entry") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a JSON integer may overflow a float
             raise UsageError(f"{path}, line {line}: {exc}") from exc
-        yield method, index, re, im, diagonal
+        nn = n * n
+        yield method, index, numbers[:nn], numbers[nn : 2 * nn], numbers[2 * nn :]
 
 
 def _open_records(path, jsonl: bool):
@@ -329,7 +349,7 @@ def _cell_value(cell, column: str, path) -> float:
         if isinstance(cell, bool):  # float(True) is 1.0, but a JSON true is no sample
             raise TypeError
         value = float(cell)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a JSON integer may overflow a float
         raise UsageError(f"non-numeric value {cell!r} in column {column!r} of {path}") from exc
     if not math.isfinite(value):
         raise UsageError(f"non-finite value {cell!r} in column {column!r} of {path}")
@@ -487,13 +507,13 @@ def main(argv=None) -> int:
             spectrum = _parse_spectrum(args.spectrum)
             if args.count < 1:
                 raise UsageError("count must be at least 1")
-            return cmd_sample(spectrum, args.method, args.count, args.seed, args.output, args.format)
+            return cmd_sample(spectrum, args.method, args.count, _check_seed(args.seed), args.output, args.format)
         if args.command == "volume":
             return cmd_volume(args.levels)
         if args.command == "compare":
             return cmd_compare(args.file_a, args.file_b, args.column, args.pairs_out)
         if args.command == "check-jacobian":
-            return cmd_check_jacobian(args.n, args.points, args.step, args.seed)
+            return cmd_check_jacobian(args.n, args.points, args.step, _check_seed(args.seed))
         if args.command == "check-euler":
             return cmd_check_euler(args.nodes)
         if args.command == "density":

@@ -81,53 +81,29 @@ class FlagChart:
     """Layered ball coordinates for an N-level diagonalizing unitary.
 
     ``layers`` holds one BallPoint per coset block, smallest first; the
-    dimensions must climb in steps of two and end at 2(N-1). A chart starting
-    at dimension 2m > 2 is the reduced ladder used when the state has an
-    m-fold zero eigenvalue.
+    dimensions must climb in steps of two, and the last one, 2(N-1), fixes
+    the level count N. A chart starting at dimension 2m > 2 is the reduced
+    ladder used when the state has an m-fold zero eigenvalue.
     """
 
-    n_levels: int
     layers: tuple
 
     def __post_init__(self):
-        if self.n_levels < 2:
-            raise ShapeError("a flag chart needs at least 2 levels")
         layers = tuple(self.layers)
         dims = tuple(p.dim for p in layers)
         if not dims:
             raise ShapeError("a flag chart needs at least one layer")
-        expected = tuple(range(dims[0], 2 * self.n_levels - 1, 2))
-        if dims != expected or dims[-1] != 2 * (self.n_levels - 1):
-            raise ShapeError(
-                f"layer dimensions {dims} must step by 2 up to {2 * (self.n_levels - 1)}"
-            )
+        if dims != tuple(range(dims[0], dims[-1] + 1, 2)):
+            raise ShapeError(f"layer dimensions {dims} must climb in steps of 2")
         object.__setattr__(self, "layers", layers)
 
     @property
     def dims(self) -> tuple:
         return tuple(p.dim for p in self.layers)
 
-
-@dataclass(frozen=True)
-class DegeneracyPattern:
-    """Spectrum shape hint for the coset sampler.
-
-    ``zero_block`` is the multiplicity m of the zero eigenvalue; m = 0 or 1
-    means the generic full ladder, m >= 2 selects the reduced ladder that
-    starts at ball dimension 2m. Repeated nonzero eigenvalues have no chart
-    here and are rejected by the samplers.
-    """
-
-    n_levels: int
-    zero_block: int = 0
-
-    def __post_init__(self):
-        if self.n_levels < 2:
-            raise ShapeError("degeneracy patterns need at least 2 levels")
-        if not 0 <= self.zero_block <= self.n_levels - 1:
-            raise ShapeError(
-                f"zero block {self.zero_block} must lie in [0, {self.n_levels - 1}]"
-            )
+    @property
+    def n_levels(self) -> int:
+        return self.layers[-1].dim // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -149,20 +125,16 @@ class EulerChart:
         return euler_density_u3(self.phi3, self.phi5)
 
 
-def coset_unitary(point: BallPoint, n_levels: int, top_index: int) -> np.ndarray:
-    """Unitary on ``n_levels`` levels from a point of B^(2n), n = top_index - 1.
+def coset_unitary(point: BallPoint, n_levels: int) -> np.ndarray:
+    """Unitary on ``n_levels`` levels from a point of B^(2n).
 
-    The block described in the module docstring occupies the leading
-    ``top_index`` levels; the remaining levels are untouched. The point must
-    satisfy 2n = point.dim and top_index <= n_levels.
+    The block described in the module docstring occupies the leading n+1
+    levels; the remaining levels are untouched. A block larger than
+    ``n_levels`` raises ShapeError.
     """
     n = point.dim // 2
-    if top_index != n + 1:
-        raise ShapeError(
-            f"a ball of dimension {point.dim} parametrizes top index {n + 1}, not {top_index}"
-        )
-    if top_index > n_levels:
-        raise ShapeError(f"top index {top_index} exceeds {n_levels} levels")
+    if n + 1 > n_levels:
+        raise ShapeError(f"a ball of dimension {point.dim} acts on {n + 1} levels, more than {n_levels}")
     r2 = point.radius_sq
     if r2 > 1.0 + BALL_EDGE_TOL:
         raise OutOfBallError(f"squared radius {r2:.17g} exceeds 1")
@@ -180,7 +152,7 @@ def flag_unitary(chart: FlagChart) -> np.ndarray:
     """Product of the chart's coset layers, largest block leftmost."""
     out = np.eye(chart.n_levels, dtype=complex)
     for layer in chart.layers:
-        out = matmul(coset_unitary(layer, chart.n_levels, layer.dim // 2 + 1), out)
+        out = matmul(coset_unitary(layer, chart.n_levels), out)
     return out
 
 
@@ -213,13 +185,13 @@ def _jacobian_matrix(point: BallPoint, step: float) -> np.ndarray:
     x = point.coords
     dim = x.size
     k = dim // 2 + 1
-    base_dag = coset_unitary(point, k, k).conj().T
+    base_dag = coset_unitary(point, k).conj().T
     jac = np.empty((dim, dim))
     for j in range(dim):
         shift = np.zeros(dim)
         shift[j] = step
-        plus = coset_unitary(BallPoint(x + shift), k, k)
-        minus = coset_unitary(BallPoint(x - shift), k, k)
+        plus = coset_unitary(BallPoint(x + shift), k)
+        minus = coset_unitary(BallPoint(x - shift), k)
         top = (base_dag @ (plus - minus))[: k - 1, k - 1]
         jac[0::2, j] = top.real
         jac[1::2, j] = top.imag
@@ -241,16 +213,6 @@ def coset_jacobian_det(point: BallPoint, step: float = 1e-5) -> float:
     if r2 >= 1.0 - BOUNDARY_MARGIN or math.sqrt(r2) + step > 1.0:
         raise BoundaryError(f"squared radius {r2:.17g} is too close to the ball edge")
     return float(np.linalg.det(_jacobian_matrix(point, step)))
-
-
-def coset_layers_for(pattern: DegeneracyPattern) -> tuple:
-    """Ball dimensions of the coset ladder selected by a degeneracy pattern.
-
-    Generic spectra use (2, 4, ..., 2(N-1)); an m-fold zero eigenvalue with
-    m >= 2 removes the first m-1 layers, giving (2m, 2m+2, ..., 2(N-1)).
-    """
-    start = max(pattern.zero_block, 1)
-    return tuple(2 * j for j in range(start, pattern.n_levels))
 
 
 def euler_density_u3(phi3, phi5):

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import (
-    BALL_EDGE_TOL,
-    BallPoint,
-    DegeneracyPattern,
-    FlagChart,
-    coset_layers_for,
-    flag_unitary,
-)
+from .coset import BALL_EDGE_TOL, BallPoint, FlagChart, flag_unitary
 from .errors import (
     NotHermitianError,
     OutOfBallError,
@@ -198,37 +191,25 @@ def _state_from_unitary(spectrum: Spectrum, unitary: np.ndarray) -> DensityMatri
     return DensityMatrix.from_eigensystem(spectrum, unitary[:, ::-1])
 
 
-def pattern_for_spectrum(spectrum: Spectrum) -> DegeneracyPattern:
-    """Infer the degeneracy pattern: m-fold zero block when m >= 2, generic otherwise."""
-    zeros = spectrum.num_zero()
-    return DegeneracyPattern(spectrum.n_levels, zeros if zeros >= 2 else 0)
+def coset_ladder(spectrum: Spectrum) -> tuple:
+    """Ball dimensions of the spectrum's coset ladder, smallest first.
 
-
-def _check_pattern(spectrum: Spectrum, pattern: DegeneracyPattern) -> None:
-    if pattern.n_levels != spectrum.n_levels:
-        raise UnsupportedPatternError(
-            f"pattern is for {pattern.n_levels} levels, spectrum has {spectrum.n_levels}"
-        )
-    zeros = spectrum.num_zero()
-    if pattern.zero_block >= 2 and zeros != pattern.zero_block:
-        raise UnsupportedPatternError(
-            f"pattern expects a {pattern.zero_block}-fold zero eigenvalue, spectrum has {zeros}"
-        )
-    if pattern.zero_block < 2 and zeros >= 2:
-        raise UnsupportedPatternError(
-            f"spectrum has a {zeros}-fold zero eigenvalue; use the matching pattern"
-        )
+    A generic N-level spectrum uses (2, 4, ..., 2(N-1)); an m-fold zero
+    eigenvalue with m >= 2 drops the first m-1 balls, leaving (2m, ...,
+    2(N-1)). Repeated nonzero eigenvalues have no coset chart here.
+    """
+    n = spectrum.n_levels
+    if n < 2:
+        raise ShapeError("a coset ladder needs at least 2 levels")
     nonzero = spectrum.values[spectrum.values > DEGENERACY_TOL]
     if nonzero.size >= 2 and np.min(np.abs(np.diff(nonzero))) < DEGENERACY_TOL:
-        raise UnsupportedPatternError(
-            "repeated nonzero eigenvalues have no coset chart here"
-        )
+        raise UnsupportedPatternError("repeated nonzero eigenvalues have no coset chart here")
+    return tuple(2 * j for j in range(max(spectrum.num_zero(), 1), n))
 
 
-def sample_flag_chart(pattern: DegeneracyPattern, rng: RngStream) -> FlagChart:
-    """Independent uniform ball points for each layer of the pattern's ladder."""
-    layers = tuple(sample_ball(dim, rng) for dim in coset_layers_for(pattern))
-    return FlagChart(pattern.n_levels, layers)
+def sample_flag_chart(spectrum: Spectrum, rng: RngStream) -> FlagChart:
+    """Independent uniform ball points for each layer of the spectrum's ladder."""
+    return FlagChart(tuple(sample_ball(dim, rng) for dim in coset_ladder(spectrum)))
 
 
 def state_from_chart(spectrum: Spectrum, chart: FlagChart) -> DensityMatrix:
@@ -246,17 +227,14 @@ def sample_state_haar(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
     return SampleRecord("haar", rng.stream_index, rho, _observables(rho))
 
 
-def sample_state_coset(
-    spectrum: Spectrum, pattern: DegeneracyPattern, rng: RngStream
-) -> SampleRecord:
+def sample_state_coset(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
     """Fixed-spectrum state conjugated by a layered coset unitary.
 
     Layer points are uniform on their balls, which by the unit-Jacobian
     property of the coset coordinates reproduces the unitary part of the
     Bures measure for the given spectrum.
     """
-    _check_pattern(spectrum, pattern)
-    rho = state_from_chart(spectrum, sample_flag_chart(pattern, rng))
+    rho = state_from_chart(spectrum, sample_flag_chart(spectrum, rng))
     return SampleRecord("coset", rng.stream_index, rho, _observables(rho))
 
 
@@ -363,9 +341,9 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
     return coords
 
 
-def sample_chart_coords(pattern: DegeneracyPattern, seed: int, count: int) -> np.ndarray:
-    """(count, sum of layer dims) chart coordinates, row i from stream (seed, i)."""
-    return _draw_charts(RngStream(seed), coset_layers_for(pattern), 0, count)
+def sample_chart_coords(spectrum: Spectrum, seed: int, count: int) -> np.ndarray:
+    """(count, sum of ladder dims) chart coordinates, row i from stream (seed, i)."""
+    return _draw_charts(RngStream(seed), coset_ladder(spectrum), 0, count)
 
 
 def _check_ball_rows(coords: np.ndarray, dims: tuple, start: int) -> None:
@@ -449,7 +427,10 @@ def _store_states(spectrum: Spectrum, unitaries: np.ndarray, out: np.ndarray, st
 def _assemble(method: str, seed, spectrum: Spectrum, count: int, unitaries_for) -> StateBatch:
     """StateBatch of ``count`` states; ``unitaries_for(start, stop)`` yields each block's unitaries."""
     n = spectrum.n_levels
-    matrices = np.empty((count, n, n), dtype=complex)
+    try:
+        matrices = np.empty((count, n, n), dtype=complex)
+    except (MemoryError, ValueError) as exc:  # numpy raises either, by size
+        raise ShapeError(f"cannot hold {count} states of {n} levels in memory") from exc
     for start, stop in _blocks(count, n):
         _store_states(spectrum, unitaries_for(start, stop), matrices[start:stop], start)
     return StateBatch(method, seed, spectrum, matrices)
@@ -458,12 +439,10 @@ def _assemble(method: str, seed, spectrum: Spectrum, count: int, unitaries_for) 
 def batch_from_charts(spectrum: Spectrum, coords) -> StateBatch:
     """Coset states for explicit chart coordinates, one row per record (diagnostics and tests).
 
-    Rows are laid out as ``sample_chart_coords`` returns them for the
-    spectrum's pattern (``pattern_for_spectrum``).
+    Rows are laid out as ``sample_chart_coords`` returns them: the layers of
+    the spectrum's ladder (``coset_ladder``), smallest first.
     """
-    pattern = pattern_for_spectrum(spectrum)
-    _check_pattern(spectrum, pattern)
-    dims = coset_layers_for(pattern)
+    dims = coset_ladder(spectrum)
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] != sum(dims):
         raise ShapeError(f"chart rows must have {sum(dims)} coordinates, got shape {coords.shape}")
@@ -477,20 +456,19 @@ def batch_from_charts(spectrum: Spectrum, coords) -> StateBatch:
 def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> StateBatch:
     """StateBatch of ``count`` states, record i drawn from stream (seed, i).
 
-    The coset ladder is the spectrum's pattern (``pattern_for_spectrum``).
-    Record i does not depend on ``count``, so a batch's first k records equal
-    a count-k batch bit for bit.
+    The spectrum needs at least 2 levels; the coset method uses its ladder
+    (``coset_ladder``). Record i does not depend on ``count``, so a batch's
+    first k records equal a count-k batch bit for bit.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
-    pattern = pattern_for_spectrum(spectrum)
-    if method == "coset":
-        _check_pattern(spectrum, pattern)
-    dims = coset_layers_for(pattern)
     n = spectrum.n_levels
+    if n < 2:
+        raise ShapeError("sampling needs at least 2 levels")
     rng = RngStream(seed)
+    dims = coset_ladder(spectrum) if method == "coset" else ()
 
     def unitaries_for(start, stop):
         if method == "haar":

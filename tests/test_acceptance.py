@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from bures.cli import write_records_csv
-from bures.coset import (
-    BallPoint,
-    DegeneracyPattern,
-    coset_jacobian_det,
-    coset_layers_for,
-    euler_coset_volume,
-)
+from bures.coset import BallPoint, coset_jacobian_det, euler_coset_volume
 from bures.measures import (
     DensityMatrix,
     Spectrum,
@@ -30,6 +24,7 @@ from bures.measures import (
 from bures.sampling import (
     RngStream,
     batch_sample,
+    coset_ladder,
     sample_haar_unitary,
     sample_interior_point,
 )
@@ -129,8 +124,8 @@ def test_c5_method_equivalence_larger_systems():
 
 def test_c6_degenerate_ladders():
     """Zero blocks select the reduced ladders and keep the right statistics."""
-    ok = coset_layers_for(DegeneracyPattern(3, 2)) == (4,)
-    ok = ok and coset_layers_for(DegeneracyPattern(4, 2)) == (4, 6)
+    ok = coset_ladder(Spectrum([1.0, 0.0, 0.0])) == (4,)
+    ok = ok and coset_ladder(Spectrum([0.7, 0.3, 0.0, 0.0])) == (4, 6)
 
     # rank-one three-level states: analytic marginal CDF 1 - (1-t)^2
     pure = batch_sample("coset", Spectrum([1.0, 0.0, 0.0]), 1000, 23)

@@ -307,7 +307,21 @@ def _write_text(name, text):
     return make
 
 
+def _output(name):
+    def make(tmp_path):
+        return str(tmp_path / name)
+
+    return make
+
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+#: A 100-level spectrum with distinct eigenvalues j/5050.
+SPEC100 = ",".join(repr(j / 5050) for j in range(1, 101))
+
+
+def _sample_argv(spectrum, count, seed="0", method="coset"):
+    return ["sample", "--spectrum", spectrum, "--method", method, "--count", count, "--seed", seed, "-o", "{f}"]
 
 
 @pytest.mark.parametrize(
@@ -340,11 +354,27 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
         # Gamma overflows in the ball volumes
         (None, ["volume", "-n", "200"], 2, "leave the range of normal doubles"),
         (None, ["density", "--spectrum", "1"], 2, "at least 2 levels"),
+        # a JSON integer too large for a float
+        (_write_text("big.jsonl", '{"observables": {"rho_11": 0.5}}\n{"observables": {"rho_11": 1%s}}\n' % ("0" * 400)),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-numeric value"),
+        # a stack too large to allocate: numpy raises ValueError or MemoryError, by size
+        (_output("x.csv"), _sample_argv(SPEC3, str(10**17)), 2, f"cannot hold {10**17} states of 3 levels"),
+        (_output("x.csv"), _sample_argv(SPEC3, str(10**20)), 2, f"cannot hold {10**20} states of 3 levels"),
+        (_output("x.csv"), _sample_argv(SPEC100, str(10**13)), 2, f"cannot hold {10**13} states of 100 levels"),
+        # the stream key takes the seed modulo 2^64, so a seed outside [0, 2^64) would alias one inside
+        (_output("x.csv"), _sample_argv(SPEC3, "1", "-1"), 2, "outside [0, 2^64)"),
+        (_output("x.csv"), _sample_argv(SPEC3, "1", str(2**64)), 2, "outside [0, 2^64)"),
+        (_output("x.csv"), _sample_argv(SPEC3, "1", str(2**64 - 1)), 0, "wrote 1 coset records"),
+        (None, ["check-jacobian", "--points", "1", "--seed", "-1"], 2, "outside [0, 2^64)"),
+        (_output("x.csv"), _sample_argv("1", "1"), 2, "at least 2 levels"),
+        (_output("x.csv"), _sample_argv("1", "1", method="haar"), 2, "at least 2 levels"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
         "compare-bool-jsonl", "compare-nonfinite-jsonl", "module-volume", "volume-n28", "volume-n37", "volume-n200",
-        "density-one-level",
+        "density-one-level", "compare-huge-int-jsonl", "sample-count-1e17", "sample-count-1e20",
+        "sample-n100-count-1e13", "sample-seed-minus-1", "sample-seed-2-64", "sample-seed-2-64-minus-1",
+        "check-jacobian-seed-minus-1", "sample-coset-one-level", "sample-haar-one-level",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -593,6 +623,39 @@ def test_read_records_and_read_column_reject_malformed_jsonl(tmp_path):
     for read in (read_records, lambda path: read_column(path, "rho_11")):
         with pytest.raises(UsageError, match="line 2"):
             read(out)
+
+
+def _jsonl_cell(edit):
+    """Edit of the second record of a JSONL file: edit(record object) changes one cell."""
+
+    def make(tmp_path):
+        out = tmp_path / "typed.jsonl"
+        write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 3, 2), out, "jsonl")
+        lines = out.read_text().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record)
+        out.write_text("\n".join(lines) + "\n")
+        return out
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make_file",
+    [
+        _jsonl_cell(lambda r: r["re"][0].__setitem__(0, str(r["re"][0][0]))),
+        _jsonl_cell(lambda r: r["im"][1].__setitem__(0, True)),
+        _jsonl_cell(lambda r: r["observables"].__setitem__("rho_22", "0")),
+        _jsonl_cell(lambda r: r["observables"].__setitem__("rho_11", True)),
+        _jsonl_cell(lambda r: r["re"][2].__setitem__(2, 10**400)),
+    ],
+    ids=["re-string", "im-bool", "rho-string", "rho-bool", "re-huge-int"],
+)
+def test_read_records_takes_only_json_numbers(tmp_path, make_file):
+    # np.array and float() would read "0.5" as 0.5 and true as 1.0
+    with pytest.raises(UsageError, match="line 2"):
+        read_records(make_file(tmp_path))
 
 
 # ------------------------------------------------------------------- checks

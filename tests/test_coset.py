@@ -7,21 +7,19 @@ from scipy.linalg import expm
 from bures.coset import (
     EULER_ANGLE_RANGES,
     BallPoint,
-    DegeneracyPattern,
     EulerChart,
     FlagChart,
     _jacobian_matrix,
     b_to_spherical,
     coset_jacobian_det,
-    coset_layers_for,
     coset_unitary,
     euler_coset_volume,
     euler_density_u3,
     flag_unitary,
 )
-from bures.errors import BoundaryError, OutOfBallError, ShapeError
-from bures.measures import ball_volume
-from bures.sampling import RngStream, sample_ball, sample_interior_point
+from bures.errors import BoundaryError, OutOfBallError, ShapeError, UnsupportedPatternError
+from bures.measures import Spectrum, ball_volume
+from bures.sampling import RngStream, coset_ladder, sample_ball, sample_interior_point, state_from_chart
 
 
 # ---------------------------------------------------------------- ball points
@@ -49,19 +47,19 @@ def test_ball_point_zero_and_pairing():
 
 
 def test_coset_unitary_center_is_identity():
-    out = coset_unitary(BallPoint.zero(4), 3, 3)
+    out = coset_unitary(BallPoint.zero(4), 3)
     assert np.array_equal(out, np.eye(3))
 
 
 def test_coset_unitary_full_rotation():
     # |X| = 1 swings the two levels entirely
-    out = coset_unitary(BallPoint(np.array([1.0, 0.0])), 2, 2)
+    out = coset_unitary(BallPoint(np.array([1.0, 0.0])), 2)
     assert out == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]), abs=1e-15)
 
 
 def test_coset_unitary_block_structure():
     r = 0.6
-    out = coset_unitary(BallPoint(np.array([r, 0.0, 0.0, 0.0])), 3, 3)
+    out = coset_unitary(BallPoint(np.array([r, 0.0, 0.0, 0.0])), 3)
     s = math.sqrt(1 - r * r)
     assert out[0, 2] == pytest.approx(r)
     assert out[2, 0] == pytest.approx(-r)
@@ -72,8 +70,8 @@ def test_coset_unitary_block_structure():
 
 def test_coset_unitary_embeds_in_larger_space():
     point = BallPoint(np.array([0.3, -0.2]))
-    small = coset_unitary(point, 2, 2)
-    large = coset_unitary(point, 4, 2)
+    small = coset_unitary(point, 2)
+    large = coset_unitary(point, 4)
     assert large[:2, :2] == pytest.approx(small)
     assert np.array_equal(large[2:, 2:], np.eye(2))
     assert np.all(large[2:, :2] == 0) and np.all(large[:2, 2:] == 0)
@@ -84,46 +82,51 @@ def test_coset_unitary_is_unitary():
     for n in (1, 2, 3, 4):
         for _ in range(25):
             point = sample_ball(2 * n, rng)
-            u = coset_unitary(point, n + 1, n + 1)
+            u = coset_unitary(point, n + 1)
             assert u.conj().T @ u == pytest.approx(np.eye(n + 1), abs=1e-13)
 
 
 def test_coset_unitary_top_index_must_match_ball():
+    # B^4 parametrizes a block on 3 levels, which 2 levels cannot hold
     with pytest.raises(ShapeError):
-        coset_unitary(BallPoint.zero(4), 4, 2)
-    with pytest.raises(ShapeError):
-        coset_unitary(BallPoint.zero(4), 2, 3)
+        coset_unitary(BallPoint.zero(4), 2)
 
 
 # --------------------------------------------------------------- flag charts
 
 
-def test_flag_chart_validates_ladder():
+def test_flag_chart_validates_ladder(spectrum3):
     with pytest.raises(ShapeError):
-        FlagChart(3, (BallPoint.zero(2),))  # missing the dim-4 layer
+        # a chart without the dim-4 layer is a 2-level chart
+        state_from_chart(spectrum3, FlagChart((BallPoint.zero(2),)))
     with pytest.raises(ShapeError):
-        FlagChart(3, (BallPoint.zero(4), BallPoint.zero(2)))
-    chart = FlagChart(3, (BallPoint.zero(2), BallPoint.zero(4)))
+        FlagChart((BallPoint.zero(2), BallPoint.zero(6)))  # a gap in the ladder
+    with pytest.raises(ShapeError):
+        FlagChart((BallPoint.zero(4), BallPoint.zero(2)))
+    with pytest.raises(ShapeError):
+        FlagChart(())
+    chart = FlagChart((BallPoint.zero(2), BallPoint.zero(4)))
     assert chart.dims == (2, 4)
+    assert chart.n_levels == 3
 
 
 def test_flag_unitary_center_is_identity():
-    chart = FlagChart(4, tuple(BallPoint.zero(d) for d in (2, 4, 6)))
+    chart = FlagChart(tuple(BallPoint.zero(d) for d in (2, 4, 6)))
     assert np.array_equal(flag_unitary(chart), np.eye(4))
 
 
 def test_flag_unitary_single_layer_matches_coset():
     point = BallPoint(np.array([0.4, 0.1]))
-    chart = FlagChart(2, (point,))
-    assert np.array_equal(flag_unitary(chart), coset_unitary(point, 2, 2))
+    chart = FlagChart((point,))
+    assert np.array_equal(flag_unitary(chart), coset_unitary(point, 2))
 
 
 def test_flag_unitary_orders_largest_block_leftmost():
     rng = RngStream(55)
     p2 = sample_ball(2, rng)
     p4 = sample_ball(4, rng)
-    chart = FlagChart(3, (p2, p4))
-    direct = coset_unitary(p4, 3, 3) @ coset_unitary(p2, 3, 2)
+    chart = FlagChart((p2, p4))
+    direct = coset_unitary(p4, 3) @ coset_unitary(p2, 3)
     assert flag_unitary(chart) == pytest.approx(direct, abs=1e-15)
 
 
@@ -131,9 +134,8 @@ def test_flag_unitary_is_unitary():
     rng = RngStream(56)
     for n_levels in (2, 3, 4, 5, 6):
         for _ in range(20):
-            pattern = DegeneracyPattern(n_levels)
-            layers = tuple(sample_ball(d, rng) for d in coset_layers_for(pattern))
-            u = flag_unitary(FlagChart(n_levels, layers))
+            layers = tuple(sample_ball(d, rng) for d in range(2, 2 * n_levels, 2))
+            u = flag_unitary(FlagChart(layers))
             assert u.conj().T @ u == pytest.approx(np.eye(n_levels), abs=1e-12)
 
 
@@ -167,7 +169,7 @@ def test_b_to_spherical_matches_matrix_exponential():
             gen[:n, n] = b
             gen[n, :n] = -b.conj()
             expected = expm(gen)
-            got = coset_unitary(b_to_spherical(b), n + 1, n + 1)
+            got = coset_unitary(b_to_spherical(b), n + 1)
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -231,31 +233,26 @@ def test_jacobian_det_step_validation():
 # ------------------------------------------------------- degeneracy ladders
 
 
-def test_coset_layers_generic():
-    assert coset_layers_for(DegeneracyPattern(3)) == (2, 4)
-    assert coset_layers_for(DegeneracyPattern(5, 0)) == (2, 4, 6, 8)
-    assert coset_layers_for(DegeneracyPattern(4, 1)) == (2, 4, 6)
-
-
-def test_coset_layers_zero_blocks():
-    assert coset_layers_for(DegeneracyPattern(3, 2)) == (4,)
-    assert coset_layers_for(DegeneracyPattern(4, 2)) == (4, 6)
-    assert coset_layers_for(DegeneracyPattern(5, 3)) == (6, 8)
+def test_coset_ladder():
+    # generic spectra, one zero eigenvalue included, use the full ladder
+    assert coset_ladder(Spectrum([0.5, 0.375, 0.125])) == (2, 4)
+    assert coset_ladder(Spectrum([0.35, 0.25, 0.2, 0.15, 0.05])) == (2, 4, 6, 8)
+    assert coset_ladder(Spectrum([0.5, 0.3, 0.2, 0.0])) == (2, 4, 6)
+    # an m-fold zero eigenvalue, m >= 2, starts the ladder at B^(2m)
+    assert coset_ladder(Spectrum([1.0, 0.0, 0.0])) == (4,)
+    assert coset_ladder(Spectrum([0.7, 0.3, 0.0, 0.0])) == (4, 6)
+    assert coset_ladder(Spectrum([0.6, 0.4, 0.0, 0.0, 0.0])) == (6, 8)
+    with pytest.raises(ShapeError):
+        coset_ladder(Spectrum([1.0]))
+    with pytest.raises(UnsupportedPatternError):
+        coset_ladder(Spectrum([0.4, 0.4, 0.2]))
 
 
 def test_generic_ladder_carries_full_flag_dimension():
     for n_levels in range(2, 9):
-        dims = coset_layers_for(DegeneracyPattern(n_levels))
+        values = np.arange(1.0, n_levels + 1)
+        dims = coset_ladder(Spectrum(values / values.sum()))
         assert sum(dims) == n_levels * (n_levels - 1)
-
-
-def test_degeneracy_pattern_validation():
-    with pytest.raises(ShapeError):
-        DegeneracyPattern(3, 3)
-    with pytest.raises(ShapeError):
-        DegeneracyPattern(3, -1)
-    with pytest.raises(ShapeError):
-        DegeneracyPattern(1, 0)
 
 
 # ------------------------------------------------------------- euler charts

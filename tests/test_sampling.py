@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bures.sampling
-from bures.coset import BallPoint, DegeneracyPattern, FlagChart
+from bures.coset import BallPoint, FlagChart
 from bures.errors import NotHermitianError, ShapeError, UnsupportedPatternError
 from bures.measures import Spectrum
 from bures.sampling import (
@@ -11,7 +11,6 @@ from bures.sampling import (
     StateBatch,
     batch_from_charts,
     batch_sample,
-    pattern_for_spectrum,
     sample_ball,
     sample_flag_chart,
     sample_haar_unitary,
@@ -144,23 +143,22 @@ def test_haar_state_preserves_spectrum(spectrum3):
 
 
 def test_coset_state_preserves_spectrum(spectrum4):
-    pattern = DegeneracyPattern(4)
     rng = RngStream(13)
     for _ in range(25):
-        record = sample_state_coset(spectrum4, pattern, rng)
+        record = sample_state_coset(spectrum4, rng)
         eigs = np.linalg.eigvalsh(record.rho.matrix)[::-1]
         assert eigs == pytest.approx(spectrum4.values, abs=1e-12)
         assert record.method == "coset"
 
 
 def test_record_observables_match_matrix(spectrum3):
-    record = sample_state_coset(spectrum3, DegeneracyPattern(3), RngStream(14))
+    record = sample_state_coset(spectrum3, RngStream(14))
     for j in range(1, 4):
         assert record.observables[f"rho_{j}{j}"] == record.rho.matrix[j - 1, j - 1].real
 
 
 def test_zero_chart_gives_the_diagonal_model(spectrum3):
-    chart = FlagChart(3, (BallPoint.zero(2), BallPoint.zero(4)))
+    chart = FlagChart((BallPoint.zero(2), BallPoint.zero(4)))
     rho = state_from_chart(spectrum3, chart)
     assert np.array_equal(rho.matrix, np.diag(spectrum3.ascending_diagonal()))
 
@@ -198,27 +196,18 @@ def test_haar_pure_state_marginal_law():
 # ----------------------------------------------------------------- patterns
 
 
-def test_pattern_for_spectrum():
-    assert pattern_for_spectrum(Spectrum([0.5, 0.375, 0.125])).zero_block == 0
-    assert pattern_for_spectrum(Spectrum([0.7, 0.3, 0.0, 0.0])).zero_block == 2
-    assert pattern_for_spectrum(Spectrum([1.0, 0.0, 0.0])).zero_block == 2
-
-
 def test_sample_flag_chart_follows_pattern():
-    chart = sample_flag_chart(DegeneracyPattern(4, 2), RngStream(15))
+    chart = sample_flag_chart(Spectrum([0.7, 0.3, 0.0, 0.0]), RngStream(15))
     assert chart.dims == (4, 6)
 
 
 def test_coset_rejects_mismatched_patterns():
+    # repeated nonzero eigenvalues have no coset chart
     rng = RngStream(16)
     with pytest.raises(UnsupportedPatternError):
-        sample_state_coset(Spectrum([0.5, 0.375, 0.125]), DegeneracyPattern(3, 2), rng)
+        sample_state_coset(Spectrum([0.4, 0.4, 0.2]), rng)
     with pytest.raises(UnsupportedPatternError):
-        sample_state_coset(Spectrum([0.7, 0.3, 0.0, 0.0]), DegeneracyPattern(4, 0), rng)
-    with pytest.raises(UnsupportedPatternError):
-        sample_state_coset(Spectrum([0.4, 0.4, 0.2]), DegeneracyPattern(3), rng)
-    with pytest.raises(UnsupportedPatternError):
-        sample_state_coset(Spectrum([0.5, 0.5]), DegeneracyPattern(3), rng)
+        sample_state_coset(Spectrum([0.5, 0.5]), rng)
 
 
 # ------------------------------------------------------------------ batches
@@ -308,10 +297,13 @@ def test_state_batch_rejects_non_finite_or_non_hermitian_stacks(spectrum3, edit,
 
 @pytest.mark.parametrize("n_levels, zero_block", [(2, 0), (3, 0), (5, 0), (3, 2), (4, 2), (10, 3)])
 def test_batch_chart_coords_match_scalar_draws(n_levels, zero_block):
-    pattern = DegeneracyPattern(n_levels, zero_block)
-    coords = sample_chart_coords(pattern, 17, 40)
+    # distinct nonzero eigenvalues followed by a zero block
+    values = np.zeros(n_levels)
+    values[: n_levels - zero_block] = np.arange(n_levels - zero_block, 0, -1)
+    spectrum = Spectrum(values / values.sum())
+    coords = sample_chart_coords(spectrum, 17, 40)
     for i, row in enumerate(coords):
-        chart = sample_flag_chart(pattern, RngStream(17, i))
+        chart = sample_flag_chart(spectrum, RngStream(17, i))
         assert np.array_equal(row, np.concatenate([layer.coords for layer in chart.layers]))
 
 
@@ -327,14 +319,13 @@ def test_rekeyed_stream_matches_a_fresh_one():
 
 
 def scalar_states(method, spectrum, seed, count):
-    pattern = None if method == "haar" else bures.sampling.pattern_for_spectrum(spectrum)
     out = []
     for i in range(count):
         rng = RngStream(seed, i)
         if method == "haar":
             out.append(sample_state_haar(spectrum, rng).rho.matrix)
         else:
-            out.append(sample_state_coset(spectrum, pattern, rng).rho.matrix)
+            out.append(sample_state_coset(spectrum, rng).rho.matrix)
     return np.array(out)
 
 

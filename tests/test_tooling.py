@@ -1,8 +1,11 @@
-"""Guards for what sits outside the package but calls into it: README's sketch and the benchmark tracer."""
+"""Guards for what sits outside the package but calls into it: README's examples and the benchmark tracer."""
 
 import re
+import shlex
 import types
 from pathlib import Path
+
+from bures.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -13,6 +16,16 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(sketch, "README.md", "exec"), {})
     assert (tmp_path / "coset.csv").is_file()
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", text, re.S)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bures ")]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_perfbench_traced_names_exist():
