@@ -233,15 +233,21 @@ def test_jacobian_det_step_validation():
 # ------------------------------------------------------- degeneracy ladders
 
 
-def test_coset_ladder():
+def test_coset_layers_generic():
     # generic spectra, one zero eigenvalue included, use the full ladder
     assert coset_ladder(Spectrum([0.5, 0.375, 0.125])) == (2, 4)
     assert coset_ladder(Spectrum([0.35, 0.25, 0.2, 0.15, 0.05])) == (2, 4, 6, 8)
     assert coset_ladder(Spectrum([0.5, 0.3, 0.2, 0.0])) == (2, 4, 6)
+
+
+def test_coset_layers_zero_blocks():
     # an m-fold zero eigenvalue, m >= 2, starts the ladder at B^(2m)
     assert coset_ladder(Spectrum([1.0, 0.0, 0.0])) == (4,)
     assert coset_ladder(Spectrum([0.7, 0.3, 0.0, 0.0])) == (4, 6)
     assert coset_ladder(Spectrum([0.6, 0.4, 0.0, 0.0, 0.0])) == (6, 8)
+
+
+def test_degeneracy_pattern_validation():
     with pytest.raises(ShapeError):
         coset_ladder(Spectrum([1.0]))
     with pytest.raises(UnsupportedPatternError):

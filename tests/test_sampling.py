@@ -11,6 +11,7 @@ from bures.sampling import (
     StateBatch,
     batch_from_charts,
     batch_sample,
+    coset_ladder,
     sample_ball,
     sample_flag_chart,
     sample_haar_unitary,
@@ -194,6 +195,12 @@ def test_haar_pure_state_marginal_law():
 
 
 # ----------------------------------------------------------------- patterns
+
+
+def test_pattern_for_spectrum():
+    assert coset_ladder(Spectrum([0.5, 0.375, 0.125])) == (2, 4)
+    assert coset_ladder(Spectrum([0.7, 0.3, 0.0, 0.0])) == (4, 6)
+    assert coset_ladder(Spectrum([1.0, 0.0, 0.0])) == (4,)
 
 
 def test_sample_flag_chart_follows_pattern():
