@@ -5,6 +5,7 @@ check, 2 invalid input, 3 I/O failure.
 """
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -19,17 +20,20 @@ from .coset import BallPoint, coset_jacobian_det, euler_coset_volume
 from .errors import BuresError, DegenerateSpectrumError
 from .measures import (
     Spectrum,
+    _prechecked,
     ball_volume,
+    density_matrices,
     eigenvalue_density,
     flag_volume,
     flag_volume_sz,
 )
 from .sampling import (
+    METHODS,
     RngStream,
+    SampleRecord,
     StateBatch,
     batch_sample,
     block_records,
-    records_from_stack,
     sample_interior_point,
 )
 from .stats import cumulative_pairs, ks_two_sample
@@ -44,6 +48,11 @@ JACOBIAN_BOUND = 1e-4
 
 #: Maximum relative quadrature error accepted by check-euler.
 EULER_BOUND = 1e-9
+
+#: Largest difference read_records accepts between a file's rho_jj cell and
+#: the matrix diagonal, the two copies a record file holds. The test is
+#: ``<= OBSERVABLE_TOL``, so a NaN cell is rejected too.
+OBSERVABLE_TOL = 1e-12
 
 
 class UsageError(BuresError):
@@ -175,15 +184,13 @@ READ_BLOCK_CAP = 256
 def read_records(path) -> list:
     """Load a CSV or JSONL record file back into SampleRecord objects.
 
-    The file is parsed in blocks. Each block gets one stacked
-    eigendecomposition and one vectorized check of every contract the
-    SampleRecord, DensityMatrix and Spectrum constructors enforce, naming the
-    first failing record; the records equal those the per-record constructors
-    build, bit for bit. A malformed file raises UsageError naming the line.
+    The file is parsed in blocks, each checked by ``_checked_block``, which
+    names the first failing record; the records equal those the per-record
+    constructors build, bit for bit. A malformed file raises UsageError
+    naming the file, and the line where it is known.
     """
-    jsonl = _looks_like_jsonl(path)
     records, block = [], []
-    with _open_records(path, jsonl) as handle:
+    with _record_file(path) as (handle, jsonl):
         for row in _jsonl_rows(handle, path) if jsonl else _csv_rows(handle, path):
             block.append(row)
             if len(block) == min(READ_BLOCK_CAP, block_records(len(row[4]))):
@@ -195,12 +202,23 @@ def read_records(path) -> list:
 
 
 def _checked_block(block, start: int) -> list:
-    """SampleRecords of parsed (method, index, re, im, rho_jj) rows, numbered from ``start``."""
+    """SampleRecords of parsed (method, index, re, im, rho_jj) rows, numbered from ``start``.
+
+    One vectorized pass runs the checks of ``DensityMatrix.from_matrix`` and
+    ``SampleRecord``, then the file's own: each rho_jj cell is within
+    OBSERVABLE_TOL of the matrix diagonal, from which the records derive it.
+    """
     methods, indices, re, im, diagonals = zip(*block)
     n = len(diagonals[0])
     shape = (len(block), n, n)
     matrices = np.reshape(re, shape) + 1j * np.reshape(im, shape)
-    return records_from_stack(methods, indices, matrices, np.array(diagonals), start)
+    off = ~(np.abs(np.array(diagonals) - np.diagonal(matrices, axis1=1, axis2=2).real) <= OBSERVABLE_TOL).all(axis=1)
+    after = [
+        (np.array([m not in METHODS for m in methods], dtype=bool), ValueError, "unknown sampling method"),
+        (off, ValueError, "rho_jj observables inconsistent with the state"),
+    ]
+    rhos = density_matrices(matrices, start, after)
+    return [_prechecked(SampleRecord, method=m, index=i, rho=rho) for m, i, rho in zip(methods, indices, rhos)]
 
 
 def _csv_rows(handle, path):
@@ -260,6 +278,8 @@ def _jsonl_objects(handle, path, decode=json.loads):
             payload = decode(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}, line {line}: malformed JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise UsageError(f"{path}, line {line}: JSON nested too deeply") from exc
         if not isinstance(payload, dict):
             raise UsageError(f"{path}, line {line}: not a JSON object")
         yield line, payload
@@ -307,24 +327,28 @@ def _jsonl_rows(handle, path):
         yield method, index, numbers[:nn], numbers[nn : 2 * nn], numbers[2 * nn :]
 
 
-def _open_records(path, jsonl: bool):
-    # csv needs newline=""; JSONL lines of N=100 records split about 2x
-    # faster with universal newlines
-    return open(path, newline=None if jsonl else "")
+@contextlib.contextmanager
+def _record_file(path):
+    """(open handle, whether it is JSONL) of a record file.
 
-
-def _looks_like_jsonl(path) -> bool:
-    if str(path).endswith((".jsonl", ".ndjson")):
-        return True
-    with open(path) as handle:
-        head = handle.read(1)
-    return head == "{"
+    The format is told by content, not name: JSONL if the first non-blank
+    character is "{". Text that is not UTF-8 raises UsageError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            chunks = iter(lambda: handle.read(4096), "")
+            jsonl = next(filter(None, map(str.lstrip, chunks)), "").startswith("{")
+        # csv needs newline=""; JSONL lines of N=100 records split about 2x
+        # faster with universal newlines
+        with open(path, encoding="utf-8", newline=None if jsonl else "") as handle:
+            yield handle, jsonl
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def read_column(path, column: str) -> np.ndarray:
     """Extract one named column without validating whole records."""
-    jsonl = _looks_like_jsonl(path)
-    with _open_records(path, jsonl) as handle:
+    with _record_file(path) as (handle, jsonl):
         if jsonl:
             objects = _jsonl_objects(handle, path, _decode_deferred)
             cells = [_observable(payload, column, path) for _, payload in objects]
@@ -416,7 +440,11 @@ def cmd_check_jacobian(n: int, points: int, step: float, seed: int) -> int:
         raise UsageError("points must be at least 1")
     if not 1e-8 <= step <= 1e-4:
         raise UsageError("step must lie in [1e-8, 1e-4]")
-    origin_dev = abs(coset_jacobian_det(BallPoint.zero(2 * n), step) - 1.0)
+    try:
+        origin = BallPoint.zero(2 * n)
+    except (MemoryError, ValueError) as exc:  # numpy raises either, by size
+        raise UsageError(f"-n {n}: cannot hold a ball point of dimension {2 * n} in memory") from exc
+    origin_dev = abs(coset_jacobian_det(origin, step) - 1.0)
     print(f"origin: |det J - 1| = {origin_dev:.3g}")
     rng = RngStream(seed)
     worst = origin_dev
@@ -438,7 +466,10 @@ def cmd_check_jacobian(n: int, points: int, step: float, seed: int) -> int:
 def cmd_check_euler(nodes: int = 64) -> int:
     if nodes < 2:
         raise UsageError("need at least 2 quadrature nodes")
-    volume = euler_coset_volume(nodes)
+    try:
+        volume = euler_coset_volume(nodes)
+    except (MemoryError, ValueError) as exc:  # numpy raises either, by size
+        raise UsageError(f"cannot hold {nodes} quadrature nodes in memory") from exc
     target = ball_volume(4)
     rel = abs(volume - target) / target
     print(f"euler volume ({nodes} nodes) = {volume:.15g}")

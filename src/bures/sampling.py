@@ -29,8 +29,6 @@ from .measures import (
     DEGENERACY_TOL,
     DensityMatrix,
     Spectrum,
-    _prechecked,
-    density_matrices,
     raise_first_failure,
     state_checks,
 )
@@ -45,14 +43,6 @@ INTERIOR_MARGIN = 1e-2
 
 #: Sampling methods, as written in record files.
 METHODS = ("haar", "coset")
-
-#: Largest difference accepted between a rho_jj observable and the state's
-#: diagonal entry, where the two arrive separately: in ``SampleRecord`` and in
-#: ``records_from_stack``, which checks what a record file holds. A StateBatch
-#: derives its diagonals and needs no such check. Checks test
-#: ``<= OBSERVABLE_TOL`` and reject what fails it, so a NaN observable is
-#: rejected too.
-OBSERVABLE_TOL = 1e-12
 
 
 class RngStream:
@@ -104,33 +94,24 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class SampleRecord:
-    """One sampled state plus its scalar observables.
+    """One sampled state: its method, its stream index and the state itself.
 
-    ``observables`` maps labels like "rho_33" to the matching real diagonal
-    entries of the state; consistency is checked at construction.
+    Its rho_jj observables are the real diagonal entries of the state, so
+    ``observables`` derives them rather than storing a second copy.
     """
 
     method: str
     index: int
     rho: DensityMatrix
-    observables: dict
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
-        for j in range(1, self.rho.n_levels + 1):
-            label = f"rho_{j}{j}"
-            if label not in self.observables:
-                raise ValueError(f"missing observable {label}")
-            if not abs(self.observables[label] - self.rho.matrix[j - 1, j - 1].real) <= OBSERVABLE_TOL:
-                raise ValueError(f"observable {label} inconsistent with the state")
 
-
-def _observables(rho: DensityMatrix) -> dict:
-    return {
-        f"rho_{j}{j}": float(rho.matrix[j - 1, j - 1].real)
-        for j in range(1, rho.n_levels + 1)
-    }
+    @property
+    def observables(self) -> dict:
+        """Labels "rho_11", "rho_22", ... mapped to the real diagonal entries, in label order."""
+        return {f"rho_{j}{j}": value for j, value in enumerate(np.diagonal(self.rho.matrix).real.tolist(), 1)}
 
 
 def sample_ball(dim: int, rng: RngStream) -> BallPoint:
@@ -224,7 +205,7 @@ def state_from_chart(spectrum: Spectrum, chart: FlagChart) -> DensityMatrix:
 def sample_state_haar(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
     """Fixed-spectrum state conjugated by a Haar unitary."""
     rho = _state_from_unitary(spectrum, sample_haar_unitary(spectrum.n_levels, rng))
-    return SampleRecord("haar", rng.stream_index, rho, _observables(rho))
+    return SampleRecord("haar", rng.stream_index, rho)
 
 
 def sample_state_coset(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
@@ -235,9 +216,7 @@ def sample_state_coset(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
     Bures measure for the given spectrum.
     """
     rho = state_from_chart(spectrum, sample_flag_chart(spectrum, rng))
-    return SampleRecord("coset", rng.stream_index, rho, _observables(rho))
-
-
+    return SampleRecord("coset", rng.stream_index, rho)
 
 
 #: Working-set budget of one block of records: a block holds as many records
@@ -476,28 +455,3 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
         return _coset_unitaries(n, dims, _draw_charts(rng, dims, start, stop), start)
 
     return _assemble(method, seed, spectrum, count, unitaries_for)
-
-
-def records_from_stack(methods, indices, matrices: np.ndarray, diagonals: np.ndarray, start: int = 0) -> list:
-    """SampleRecords for a block of stored states, as read back from a record file.
-
-    Equal, bit for bit, to building each record from ``DensityMatrix.from_matrix``
-    and its rho_jj ``diagonals`` (count, N). Every check of that path and of
-    ``SampleRecord`` runs once, vectorized, for the whole block (see
-    ``density_matrices``); records are numbered from ``start`` in errors.
-    """
-    labels = [f"rho_{j}{j}" for j in range(1, matrices.shape[-1] + 1)]
-    on_diagonal = np.diagonal(matrices, axis1=1, axis2=2).real
-    after = [
-        (np.array([m not in METHODS for m in methods], dtype=bool), ValueError, "unknown sampling method"),
-        (
-            ~(np.abs(diagonals - on_diagonal) <= OBSERVABLE_TOL).all(axis=1),
-            ValueError,
-            "rho_jj observables inconsistent with the state",
-        ),
-    ]
-    rhos = density_matrices(matrices, start, after)
-    return [
-        _prechecked(SampleRecord, method=method, index=index, rho=rho, observables=dict(zip(labels, obs)))
-        for method, index, rho, obs in zip(methods, indices, rhos, diagonals.tolist())
-    ]

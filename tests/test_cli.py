@@ -307,6 +307,19 @@ def _write_text(name, text):
     return make
 
 
+def _write_bytes(name, data):
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    return make
+
+
+#: A JSONL line whose observables are lists nested 10,000 deep.
+DEEP_JSONL = '{"observables": %s%s}\n' % ("[" * 10000, "]" * 10000)
+
+
 def _output(name):
     def make(tmp_path):
         return str(tmp_path / name)
@@ -368,6 +381,16 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         (None, ["check-jacobian", "--points", "1", "--seed", "-1"], 2, "outside [0, 2^64)"),
         (_output("x.csv"), _sample_argv("1", "1"), 2, "at least 2 levels"),
         (_output("x.csv"), _sample_argv("1", "1", method="haar"), 2, "at least 2 levels"),
+        # sizes whose arrays numpy refuses before taking any memory
+        (None, ["check-jacobian", "-n", str(10**18), "--points", "1"], 2, f"-n {10**18}"),
+        (None, ["check-euler", "--nodes", str(10**18)], 2, f"cannot hold {10**18} quadrature nodes"),
+        # files that are not UTF-8 text, and a JSON line too deep for the decoder
+        (_write_bytes("latin1.csv", b"method,index,rho_33\ncoset,0,0.25\ncoset,1,0.5\xb5\n"),
+         ["compare", "{f}", "{f}", "--column", "rho_33"], 2, "latin1.csv: not UTF-8 text"),
+        (_write_bytes("latin1.jsonl", b'{"observables": {"rho_11": 0.5}}\n{"observables": {"rho_\xb5": 0.5}}\n'),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "latin1.jsonl: not UTF-8 text"),
+        (_write_text("deep.jsonl", '{"observables": {"rho_11": 0.5}}\n' + DEEP_JSONL),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "deep.jsonl, line 2: JSON nested too deeply"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
@@ -375,6 +398,8 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "density-one-level", "compare-huge-int-jsonl", "sample-count-1e17", "sample-count-1e20",
         "sample-n100-count-1e13", "sample-seed-minus-1", "sample-seed-2-64", "sample-seed-2-64-minus-1",
         "check-jacobian-seed-minus-1", "sample-coset-one-level", "sample-haar-one-level",
+        "check-jacobian-n-1e18", "check-euler-nodes-1e18", "compare-non-utf8-csv", "compare-non-utf8-jsonl",
+        "compare-deep-jsonl",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -444,7 +469,11 @@ def test_compare_pairs_bytes_match_the_per_pair_format(tmp_path):
 
 
 def per_record_read(path):
-    """The one-record-at-a-time reader: from_matrix and SampleRecord for every record."""
+    """The one-record-at-a-time reader: from_matrix and SampleRecord for every record.
+
+    The file's rho_jj cells are checked against the record's observables,
+    which it derives from the matrix diagonal.
+    """
     if str(path).endswith(".jsonl"):
         rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
     else:
@@ -458,8 +487,11 @@ def per_record_read(path):
     records = []
     for row in rows:
         rho = DensityMatrix.from_matrix(np.asarray(row["re"], dtype=float) + 1j * np.asarray(row["im"], dtype=float))
-        obs = {str(k): float(v) for k, v in row["observables"].items()}
-        records.append(SampleRecord(str(row["method"]), int(row["index"]), rho, obs))
+        record = SampleRecord(str(row["method"]), int(row["index"]), rho)
+        for label, value in record.observables.items():
+            if not abs(float(row["observables"][label]) - value) <= 1e-12:
+                raise ValueError(f"{label} of record {record.index} differs from the matrix diagonal")
+        records.append(record)
     return records
 
 
@@ -612,6 +644,61 @@ def test_read_records_rejects_a_jsonl_index_that_is_not_an_integer(tmp_path, ind
     out.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError, match="line 2"):
         read_records(out)
+
+
+def _edited_lines(fmt, edit):
+    """A 600-record N=3 file whose lines, as bytes, went through ``edit``."""
+
+    def make(tmp_path):
+        out = tmp_path / f"edited.{fmt}"
+        write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 600, 2), out, fmt)
+        lines = out.read_bytes().splitlines(keepends=True)
+        edit(lines)
+        out.write_bytes(b"".join(lines))
+        return out
+
+    return make
+
+
+def _not_utf8(line):
+    # 0xff never occurs in UTF-8
+    def edit(lines):
+        lines[line] = lines[line][:5] + b"\xff" + lines[line][5:]
+
+    return edit
+
+
+def _deep_second_line(lines):
+    lines[1] = DEEP_JSONL.encode()
+
+
+@pytest.mark.parametrize(
+    "make_file, names",
+    [
+        (_edited_lines("csv", _not_utf8(0)), "edited.csv: not UTF-8 text"),
+        (_edited_lines("csv", _not_utf8(-1)), "edited.csv: not UTF-8 text"),
+        (_edited_lines("jsonl", _not_utf8(0)), "edited.jsonl: not UTF-8 text"),
+        (_edited_lines("jsonl", _not_utf8(-1)), "edited.jsonl: not UTF-8 text"),
+        (_edited_lines("jsonl", _deep_second_line), "edited.jsonl, line 2: JSON nested too deeply"),
+    ],
+    ids=["csv-first-line", "csv-last-line", "jsonl-first-line", "jsonl-last-line", "jsonl-nested-10000-deep"],
+)
+def test_readers_reject_undecodable_files(tmp_path, make_file, names):
+    path = make_file(tmp_path)
+    for read in (read_records, lambda path: read_column(path, "rho_11")):
+        with pytest.raises(UsageError, match=names):
+            read(path)
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "named.jsonl"), ("jsonl", "named.csv")])
+def test_record_files_are_recognised_by_content(tmp_path, fmt, name):
+    batch = batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 300, 6)
+    right, wrong = tmp_path / f"right.{fmt}", tmp_path / name
+    write_records(batch, right, fmt)
+    write_records(batch, wrong, fmt)
+    assert_records_identical(read_records(wrong), read_records(right))
+    assert same_bits(read_column(wrong, "rho_22"), read_column(right, "rho_22"))
+    assert main(["compare", str(wrong), str(right), "--column", "rho_22"]) == 0
 
 
 def test_read_records_and_read_column_reject_malformed_jsonl(tmp_path):
