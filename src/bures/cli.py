@@ -221,23 +221,37 @@ def _checked_block(block, start: int) -> list:
     return [_prechecked(SampleRecord, method=m, index=i, rho=rho) for m, i, rho in zip(methods, indices, rhos)]
 
 
+@contextlib.contextmanager
+def _csv_errors(reader, path):
+    """Raise a row ``reader`` cannot parse as UsageError naming the file and line.
+
+    The csv module raises csv.Error for one, such as a field longer than
+    ``csv.field_size_limit()``.
+    """
+    try:
+        yield
+    except csv.Error as exc:
+        raise UsageError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+
 def _csv_rows(handle, path):
     """(method, index, re, im, rho_jj) per row of a CSV record file, re and im flat."""
     reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None:
-        return
-    n = math.isqrt(sum(label.startswith("re_") for label in header))
-    if n < 1:
-        raise UsageError(f"no re_j_k columns in {path}")
-    nn = n * n
-    for line, (method, index, *cells) in _picked_cells(reader, header, _csv_header(n), path):
-        try:
-            numbers = list(map(float, cells))
-            index = int(index)
-        except ValueError as exc:
-            raise UsageError(f"{path}, line {line}: {exc}") from exc
-        yield method, index, numbers[:nn], numbers[nn : 2 * nn], numbers[2 * nn :]
+    with _csv_errors(reader, path):
+        header = next(reader, None)
+        if header is None:
+            return
+        n = math.isqrt(sum(label.startswith("re_") for label in header))
+        if n < 1:
+            raise UsageError(f"no re_j_k columns in {path}")
+        nn = n * n
+        for line, (method, index, *cells) in _picked_cells(reader, header, _csv_header(n), path):
+            try:
+                numbers = list(map(float, cells))
+                index = int(index)
+            except ValueError as exc:
+                raise UsageError(f"{path}, line {line}: {exc}") from exc
+            yield method, index, numbers[:nn], numbers[nn : 2 * nn], numbers[2 * nn :]
 
 
 def _picked_cells(reader, header: list, labels: list, path):
@@ -280,6 +294,8 @@ def _jsonl_objects(handle, path, decode=json.loads):
             raise UsageError(f"{path}, line {line}: malformed JSON ({exc.msg})") from exc
         except RecursionError as exc:
             raise UsageError(f"{path}, line {line}: JSON nested too deeply") from exc
+        except ValueError as exc:  # an integer over sys.get_int_max_str_digits() digits
+            raise UsageError(f"{path}, line {line}: {exc}") from exc
         if not isinstance(payload, dict):
             raise UsageError(f"{path}, line {line}: not a JSON object")
         yield line, payload
@@ -354,8 +370,9 @@ def read_column(path, column: str) -> np.ndarray:
             cells = [_observable(payload, column, path) for _, payload in objects]
         else:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            cells = [] if header is None else [cell for _, cell in _picked_cells(reader, header, [column], path)]
+            with _csv_errors(reader, path):
+                header = next(reader, None)
+                cells = [] if header is None else [cell for _, cell in _picked_cells(reader, header, [column], path)]
     if not cells:
         raise UsageError(f"no data rows in {path}")
     return np.array([_cell_value(cell, column, path) for cell in cells])

@@ -391,6 +391,12 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "latin1.jsonl: not UTF-8 text"),
         (_write_text("deep.jsonl", '{"observables": {"rho_11": 0.5}}\n' + DEEP_JSONL),
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "deep.jsonl, line 2: JSON nested too deeply"),
+        # a CSV field longer than csv.field_size_limit() (131,072 characters)
+        (_write_text("long.csv", "method,index,rho_11\ncoset,0,0.5\ncoset,1,%s\n" % ("1" * 200_000)),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "long.csv, line 3: field larger than field limit"),
+        # a JSON integer beyond Python's 4,300-digit int-string limit
+        (_write_text("digits.jsonl", '{"observables": {"rho_11": 0.5}}\n{"index": 1%s}\n' % ("0" * 5000)),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "digits.jsonl, line 2: "),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
@@ -399,7 +405,7 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "sample-n100-count-1e13", "sample-seed-minus-1", "sample-seed-2-64", "sample-seed-2-64-minus-1",
         "check-jacobian-seed-minus-1", "sample-coset-one-level", "sample-haar-one-level",
         "check-jacobian-n-1e18", "check-euler-nodes-1e18", "compare-non-utf8-csv", "compare-non-utf8-jsonl",
-        "compare-deep-jsonl",
+        "compare-deep-jsonl", "compare-overlong-csv-field", "compare-jsonl-int-5000-digits",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -672,6 +678,16 @@ def _deep_second_line(lines):
     lines[1] = DEEP_JSONL.encode()
 
 
+def _long_csv_field(lines):
+    # longer than csv.field_size_limit(), 131,072 characters
+    lines[300] = b"coset,299," + b"1" * 200_000 + b"\n"
+
+
+def _jsonl_int_5000_digits(lines):
+    # beyond Python's 4,300-digit int-string limit, which json raises as ValueError
+    lines[1] = b'{"index": 1' + b"0" * 5000 + b"}\n"
+
+
 @pytest.mark.parametrize(
     "make_file, names",
     [
@@ -680,8 +696,13 @@ def _deep_second_line(lines):
         (_edited_lines("jsonl", _not_utf8(0)), "edited.jsonl: not UTF-8 text"),
         (_edited_lines("jsonl", _not_utf8(-1)), "edited.jsonl: not UTF-8 text"),
         (_edited_lines("jsonl", _deep_second_line), "edited.jsonl, line 2: JSON nested too deeply"),
+        (_edited_lines("csv", _long_csv_field), "edited.csv, line 301: field larger than field limit"),
+        (_edited_lines("jsonl", _jsonl_int_5000_digits), "edited.jsonl, line 2: "),
     ],
-    ids=["csv-first-line", "csv-last-line", "jsonl-first-line", "jsonl-last-line", "jsonl-nested-10000-deep"],
+    ids=[
+        "csv-first-line", "csv-last-line", "jsonl-first-line", "jsonl-last-line", "jsonl-nested-10000-deep",
+        "csv-overlong-field", "jsonl-int-5000-digits",
+    ],
 )
 def test_readers_reject_undecodable_files(tmp_path, make_file, names):
     path = make_file(tmp_path)
