@@ -11,7 +11,7 @@ statistical machinery to verify the equivalence.
 """
 
 from .coset import coset_jacobian_det
-from .errors import BuresError, UnsupportedPatternError
+from .errors import BuresError
 from .measures import DensityMatrix, Spectrum
 from .sampling import RngStream, SampleRecord, StateBatch, batch_sample, sample_ball
 from .stats import ks_two_sample
@@ -25,7 +25,6 @@ __all__ = [
     "SampleRecord",
     "Spectrum",
     "StateBatch",
-    "UnsupportedPatternError",
     "batch_sample",
     "coset_jacobian_det",
     "ks_two_sample",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .coset import BallPoint, coset_jacobian_det, euler_coset_volume
-from .errors import BuresError, DegenerateSpectrumError
+from .errors import BuresError
 from .measures import (
     Spectrum,
     _prechecked,
@@ -318,6 +318,8 @@ def _jsonl_rows(handle, path):
     for line, payload in _jsonl_objects(handle, path):
         try:
             re, im, observables = payload["re"], payload["im"], payload["observables"]
+            if type(observables) is not dict:
+                raise UsageError(f"{path}, line {line}: observables is not a JSON object")
             if n is None:
                 n = len(re) if type(re) is list else 0
                 labels = _diag_labels(n)
@@ -500,12 +502,7 @@ def cmd_check_euler(nodes: int = 64) -> int:
 def cmd_density(spectrum: Spectrum) -> int:
     if spectrum.n_levels < 2:
         raise UsageError("eigenvalue density needs at least 2 levels")
-    try:
-        value = eigenvalue_density(spectrum)
-    except DegenerateSpectrumError as exc:
-        print(f"density undefined: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"eigenvalue density = {value:.17g}")
+    print(f"eigenvalue density = {eigenvalue_density(spectrum):.17g}")
     return EXIT_OK
 
 
@@ -518,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw states and write them to CSV or JSONL")
     p_sample.add_argument("--spectrum", required=True, help="comma-separated eigenvalues summing to 1")
-    p_sample.add_argument("--method", choices=("haar", "coset"), required=True)
+    p_sample.add_argument("--method", choices=METHODS, required=True)
     p_sample.add_argument("--count", type=int, default=1000)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("-o", "--output", required=True)

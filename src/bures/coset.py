@@ -224,19 +224,15 @@ def euler_density_u3(phi3, phi5):
     return np.cos(phi3) * np.sin(phi3) ** 3 * np.sin(2.0 * phi5)
 
 
-def euler_coset_volume(nodes_per_axis: int = 64, ranges=None) -> float:
-    """Tensor-product Gauss-Legendre integral of the Euler density.
+def euler_coset_volume(nodes_per_axis: int = 64) -> float:
+    """Tensor-product Gauss-Legendre integral of the Euler density over EULER_ANGLE_RANGES.
 
-    ``ranges`` defaults to EULER_ANGLE_RANGES; passing modified ranges is a
-    diagnostic device (the result then no longer matches the ball volume).
     The density does not involve phi4 or phi6, so those axes contribute their
     exact lengths and the quadrature error comes from the phi3/phi5 grid alone.
     """
     if nodes_per_axis < 2:
         raise ValueError("need at least 2 quadrature nodes per axis")
-    lo_hi = EULER_ANGLE_RANGES if ranges is None else tuple(ranges)
-    if len(lo_hi) != 4:
-        raise ValueError("expected four angle ranges")
+    range3, range4, range5, range6 = EULER_ANGLE_RANGES
     base_nodes, base_weights = np.polynomial.legendre.leggauss(nodes_per_axis)
 
     def mapped(bounds):
@@ -244,9 +240,9 @@ def euler_coset_volume(nodes_per_axis: int = 64, ranges=None) -> float:
         half = (hi - lo) / 2.0
         return lo + half * (base_nodes + 1.0), half * base_weights
 
-    n3, w3 = mapped(lo_hi[0])
-    n5, w5 = mapped(lo_hi[2])
-    len4 = lo_hi[1][1] - lo_hi[1][0]
-    len6 = lo_hi[3][1] - lo_hi[3][0]
+    n3, w3 = mapped(range3)
+    n5, w5 = mapped(range5)
+    len4 = range4[1] - range4[0]
+    len6 = range6[1] - range6[0]
     dens = euler_density_u3(n3[:, None], n5[None, :])
     return float(w3 @ dens @ w5 * len4 * len6)

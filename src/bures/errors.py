@@ -37,9 +37,5 @@ class RankDeficiencyError(BuresError, ValueError):
     """A metric term diverges on the kernel of the state."""
 
 
-class UnsupportedPatternError(BuresError, ValueError):
-    """Spectrum degeneracy does not match any supported coset reduction."""
-
-
 class InvalidStateError(BuresError, ValueError):
     """Matrix or eigenvalue data does not describe a density matrix."""

@@ -72,8 +72,9 @@ class Spectrum:
         """The eigenvalues in ascending order, as placed on the model diagonal."""
         return self.values[::-1].copy()
 
-    def num_zero(self, tol: float = DEGENERACY_TOL) -> int:
-        return int(np.count_nonzero(self.values <= tol))
+    def num_zero(self) -> int:
+        """How many eigenvalues are zero to DEGENERACY_TOL."""
+        return int(np.count_nonzero(self.values <= DEGENERACY_TOL))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,29 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import BALL_EDGE_TOL, BallPoint, FlagChart, flag_unitary
-from .errors import (
-    NotHermitianError,
-    OutOfBallError,
-    ShapeError,
-    SingularMatrixError,
-    UnsupportedPatternError,
-)
+from .errors import NotHermitianError, OutOfBallError, ShapeError, SingularMatrixError
 from .linalg import PIVOT_FLOOR, qr_decompose, qr_decompose_stack
-from .measures import (
-    DEGENERACY_TOL,
-    DensityMatrix,
-    Spectrum,
-    raise_first_failure,
-    state_checks,
-)
+from .measures import DensityMatrix, Spectrum, raise_first_failure, state_checks
 from .philox import normals, philox_words, uniforms
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 
-#: Default squared-radius margin kept between sampled points and the ball edge
-#: when the points feed finite-difference Jacobian checks.
+#: Squared-radius margin kept between interior points and the ball edge, so
+#: that finite-difference Jacobian checks have clearance.
 INTERIOR_MARGIN = 1e-2
 
 #: Sampling methods, as written in record files.
@@ -134,17 +122,15 @@ def sample_ball(dim: int, rng: RngStream) -> BallPoint:
     return BallPoint(direction * (radius / norm))
 
 
-def sample_interior_point(dim: int, rng: RngStream, margin: float = INTERIOR_MARGIN) -> BallPoint:
-    """Uniform ball point conditioned on radius_sq <= 1 - margin.
+def sample_interior_point(dim: int, rng: RngStream) -> BallPoint:
+    """Uniform ball point conditioned on radius_sq <= 1 - INTERIOR_MARGIN.
 
     Finite-difference Jacobian checks need clearance from the edge; rejection
     keeps the conditional law exactly uniform on the retained region.
     """
-    if not 0.0 < margin < 1.0:
-        raise ValueError("margin must lie strictly between 0 and 1")
     while True:
         point = sample_ball(dim, rng)
-        if point.radius_sq <= 1.0 - margin:
+        if point.radius_sq <= 1.0 - INTERIOR_MARGIN:
             return point
 
 
@@ -180,14 +166,14 @@ def coset_ladder(spectrum: Spectrum) -> tuple:
 
     A generic N-level spectrum uses (2, 4, ..., 2(N-1)); an m-fold zero
     eigenvalue with m >= 2 drops the first m-1 balls, leaving (2m, ...,
-    2(N-1)). Repeated nonzero eigenvalues have no coset chart here.
+    2(N-1)). Repeated nonzero eigenvalues change nothing: the chart draws a
+    uniform flag, and a state depends on its flag only through the
+    eigenspaces, so the state law is the Haar-conjugation law whatever the
+    multiplicities.
     """
     n = spectrum.n_levels
     if n < 2:
         raise ShapeError("a coset ladder needs at least 2 levels")
-    nonzero = spectrum.values[spectrum.values > DEGENERACY_TOL]
-    if nonzero.size >= 2 and np.min(np.abs(np.diff(nonzero))) < DEGENERACY_TOL:
-        raise UnsupportedPatternError("repeated nonzero eigenvalues have no coset chart here")
     return tuple(2 * j for j in range(max(spectrum.num_zero(), 1), n))
 
 

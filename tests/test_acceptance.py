@@ -215,3 +215,22 @@ def test_c9_reproducibility(tmp_path):
     same = a.read_bytes() == b.read_bytes()
     different = a.read_bytes() != c.read_bytes()
     verdict("c9 reproducibility", same and different, "CSV bytes compared")
+
+
+def test_c10_repeated_eigenvalues():
+    """Repeated nonzero eigenvalues: the c4 scheme on (2/5, 2/5, 1/5), the c6 spectrum check on (1/2, 1/2, 0, 0)."""
+    spectrum = Spectrum([0.4, 0.4, 0.2])
+    passes = 0
+    for rep in range(100):
+        haar = batch_sample("haar", spectrum, 1000, 300 + 2 * rep)
+        coset = batch_sample("coset", spectrum, 1000, 301 + 2 * rep)
+        passes += ks_two_sample(diag_column(haar, 3), diag_column(coset, 3)).passed
+
+    paired = Spectrum([0.5, 0.5, 0.0, 0.0])
+    coset = batch_sample("coset", paired, 25, 500)
+    worst = max(float(np.max(np.abs(np.linalg.eigvalsh(m)[::-1] - paired.values))) for m in coset.matrices)
+    verdict(
+        "c10 repeated eigenvalues",
+        passes >= 95 and worst <= 1e-12,
+        f"{passes}/100 reps under D = 0.0728, worst eigenvalue error {worst:.1e} vs 1e-12",
+    )

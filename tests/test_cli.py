@@ -757,8 +757,12 @@ def _jsonl_cell(edit):
         _jsonl_cell(lambda r: r["observables"].__setitem__("rho_22", "0")),
         _jsonl_cell(lambda r: r["observables"].__setitem__("rho_11", True)),
         _jsonl_cell(lambda r: r["re"][2].__setitem__(2, 10**400)),
+        _jsonl_cell(lambda r: r.__setitem__("observables", 5)),
+        _jsonl_cell(lambda r: r.__setitem__("observables", None)),
+        _jsonl_cell(lambda r: r.__setitem__("observables", True)),
     ],
-    ids=["re-string", "im-bool", "rho-string", "rho-bool", "re-huge-int"],
+    ids=["re-string", "im-bool", "rho-string", "rho-bool", "re-huge-int", "observables-5", "observables-null",
+         "observables-true"],
 )
 def test_read_records_takes_only_json_numbers(tmp_path, make_file):
     # np.array and float() would read "0.5" as 0.5 and true as 1.0

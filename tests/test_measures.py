@@ -22,9 +22,9 @@ from bures.measures import (
     flag_volume_sz,
     lambda_factor,
 )
-from bures.sampling import RngStream, sample_state_haar
+from bures.sampling import RngStream, sample_haar_unitary, sample_state_haar
 
-from conftest import random_hermitian
+from conftest import one_sample_ks, random_hermitian
 
 
 # ------------------------------------------------------------------- spectra
@@ -178,6 +178,95 @@ def test_eigenvalue_density_errors():
         eigenvalue_density(Spectrum([0.5, 0.5]))
     with pytest.raises(DegenerateSpectrumError):
         eigenvalue_density(Spectrum([1.0, 0.0]))
+
+
+#: Gauss-Legendre rule on [-1, 1]: open nodes, so eigenvalue_density is never
+#: asked for a zero or a repeated eigenvalue at a panel end.
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _gauss(f, lo, hi):
+    """Integral of f over [lo, hi] by GAUSS_NODES."""
+    half = (hi - lo) / 2.0
+    return half * sum(w * f(lo + half * (x + 1.0)) for x, w in zip(GAUSS_NODES, GAUSS_WEIGHTS))
+
+
+def _panel_cdf(density, breaks, panels=8):
+    """Normalized CDF of ``density`` on [breaks[0], breaks[-1]], smooth between consecutive breaks.
+
+    Each break interval is cut into ``panels`` panels. On a panel the CDF
+    integrates the Legendre interpolant of the density through GAUSS_NODES,
+    which at the panel end is the Gauss rule itself.
+    """
+    edges = np.concatenate([np.linspace(a, b, panels + 1)[:-1] for a, b in zip(breaks, breaks[1:])] + [breaks[-1:]])
+    antiderivatives, totals = [], [0.0]
+    for a, b in zip(edges, edges[1:]):
+        half = (b - a) / 2.0
+        values = [density(a + half * (x + 1.0)) for x in GAUSS_NODES]
+        fit = np.polynomial.legendre.legfit(GAUSS_NODES, values, len(GAUSS_NODES) - 1)
+        antiderivatives.append(np.polynomial.legendre.legint(fit, lbnd=-1.0) * half)
+        totals.append(totals[-1] + np.polynomial.legendre.legval(1.0, antiderivatives[-1]))
+
+    def cdf(t):
+        k = min(max(int(np.searchsorted(edges, t, side="right")) - 1, 0), len(antiderivatives) - 1)
+        u = 2.0 * (t - edges[k]) / (edges[k + 1] - edges[k]) - 1.0
+        return (totals[k] + np.polynomial.legendre.legval(u, antiderivatives[k])) / totals[-1]
+
+    return cdf
+
+
+def largest_eigenvalue_cdf(n_levels):
+    """CDF of the largest eigenvalue under the normalized ``eigenvalue_density``, N = 2 or 3.
+
+    The smallest eigenvalue is written s^2, which turns its 1/sqrt(lambda_N)
+    singularity into a smooth integrand. At N=2 the CDF is integrated in s.
+    At N=3 lambda_2 is integrated out in s for each lambda_1; the lambda_1
+    range splits at 1/2, where the lower end of the s range leaves zero.
+    """
+    if n_levels == 2:
+        in_s = _panel_cdf(lambda s: eigenvalue_density(Spectrum([1.0 - s * s, s * s])) * 2.0 * s, [0.0, math.sqrt(0.5)])
+        return lambda t: 1.0 - in_s(math.sqrt(1.0 - t))
+
+    def marginal(l1):
+        def along_s(s):
+            return eigenvalue_density(Spectrum([l1, 1.0 - l1 - s * s, s * s])) * 2.0 * s
+
+        return _gauss(along_s, math.sqrt(max(0.0, 1.0 - 2.0 * l1)), math.sqrt((1.0 - l1) / 2.0))
+
+    return _panel_cdf(marginal, [1.0 / 3.0, 0.5, 1.0])
+
+
+def osz_largest_eigenvalues(n_levels, count):
+    """Largest eigenvalues of (1+U)GG†(1+U)†/tr, U Haar and G Ginibre: Bures-distributed states.
+
+    Osipov, Sommers and Zyczkowski, J. Phys. A 43 (2010) 055302. Record i
+    draws U, then G, from stream (2010 + N, i).
+    """
+    largest = []
+    for i in range(count):
+        rng = RngStream(2010 + n_levels, i)
+        u = sample_haar_unitary(n_levels, rng)
+        g = rng.complex_normal((n_levels, n_levels))
+        a = (np.eye(n_levels) + u) @ g
+        rho = a @ a.conj().T
+        largest.append(np.linalg.eigvalsh(rho / np.trace(rho).real)[-1])
+    return largest
+
+
+def test_largest_eigenvalue_cdf_two_levels_closed_form():
+    # with x = 2 lambda - 1 the density is proportional to x^2 / sqrt(1 - x^2)
+    cdf = largest_eigenvalue_cdf(2)
+    for t in np.linspace(0.5, 1.0, 101):
+        x = 2.0 * t - 1.0
+        closed = 2.0 / math.pi * (math.asin(x) - x * math.sqrt(1.0 - x * x))
+        assert abs(cdf(t) - closed) <= 1e-6
+
+
+@pytest.mark.parametrize("n_levels", [2, 3])
+def test_eigenvalue_density_matches_bures_states(n_levels):
+    # one-sample KS at the 0.1% level against the quadrature-normalized density
+    largest = osz_largest_eigenvalues(n_levels, 2000)
+    assert one_sample_ks(largest, largest_eigenvalue_cdf(n_levels)) < 1.949 / math.sqrt(2000)
 
 
 # ------------------------------------------------------------ quadratic form

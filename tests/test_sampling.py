@@ -3,7 +3,7 @@ import pytest
 
 import bures.sampling
 from bures.coset import BallPoint, FlagChart
-from bures.errors import NotHermitianError, ShapeError, UnsupportedPatternError
+from bures.errors import NotHermitianError, ShapeError
 from bures.measures import Spectrum
 from bures.sampling import (
     BLOCK_BYTES,
@@ -89,8 +89,6 @@ def test_sample_interior_point_honors_margin():
     rng = RngStream(4)
     for _ in range(500):
         assert sample_interior_point(4, rng).radius_sq <= 1.0 - 1e-2
-    with pytest.raises(ValueError):
-        sample_interior_point(4, rng, margin=0.0)
 
 
 # --------------------------------------------------------------- Haar draws
@@ -208,13 +206,12 @@ def test_sample_flag_chart_follows_pattern():
     assert chart.dims == (4, 6)
 
 
-def test_coset_rejects_mismatched_patterns():
-    # repeated nonzero eigenvalues have no coset chart
+def test_coset_ladder_of_repeated_eigenvalues():
+    # repeated nonzero eigenvalues are charted by the ladder of their zero block
     rng = RngStream(16)
-    with pytest.raises(UnsupportedPatternError):
-        sample_state_coset(Spectrum([0.4, 0.4, 0.2]), rng)
-    with pytest.raises(UnsupportedPatternError):
-        sample_state_coset(Spectrum([0.5, 0.5]), rng)
+    assert sample_flag_chart(Spectrum([0.4, 0.4, 0.2]), rng).dims == (2, 4)
+    assert sample_flag_chart(Spectrum([0.5, 0.5]), rng).dims == (2,)
+    assert sample_flag_chart(Spectrum([0.5, 0.5, 0.0, 0.0]), rng).dims == (4, 6)
 
 
 # ------------------------------------------------------------------ batches
@@ -344,6 +341,8 @@ def scalar_states(method, spectrum, seed, count):
         [0.35, 0.25, 0.2, 0.15, 0.05],
         [0.7, 0.3, 0.0, 0.0],
         [1.0, 0.0, 0.0],
+        [0.4, 0.4, 0.2],
+        [0.5, 0.5, 0.0, 0.0],
     ],
 )
 def test_batch_states_match_scalar_samplers(method, values):
