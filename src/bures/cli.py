@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from pathlib import Path
 
@@ -364,8 +365,14 @@ def _record_file(path):
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+#: The labels read_column takes: rho_jj observables, j from 1.
+_OBSERVABLE_LABEL = re.compile(r"rho_([1-9][0-9]*)\1")
+
+
 def read_column(path, column: str) -> np.ndarray:
-    """Extract one named column without validating whole records."""
+    """Extract one rho_jj observable column without validating whole records."""
+    if not _OBSERVABLE_LABEL.fullmatch(column):
+        raise UsageError(f"column {column!r} is not a rho_jj observable")
     with _record_file(path) as (handle, jsonl):
         if jsonl:
             objects = _jsonl_objects(handle, path, _decode_deferred)

@@ -44,7 +44,7 @@ EULER_ANGLE_RANGES = (
 
 @dataclass(frozen=True, eq=False)
 class BallPoint:
-    """A point of a closed even-dimensional unit ball."""
+    """A point of a closed even-dimensional unit ball, its coordinates read-only."""
 
     coords: np.ndarray
 
@@ -57,6 +57,7 @@ class BallPoint:
         r2 = float(coords @ coords)
         if r2 > 1.0 + BALL_EDGE_TOL:
             raise OutOfBallError(f"squared radius {r2:.17g} exceeds 1")
+        coords.setflags(write=False)  # the radius check holds for the point's lifetime
         object.__setattr__(self, "coords", coords)
 
     @classmethod
@@ -106,25 +107,6 @@ class FlagChart:
         return self.layers[-1].dim // 2 + 1
 
 
-@dataclass(frozen=True)
-class EulerChart:
-    """Euler angles (phi3, phi4, phi5, phi6) for the three-level coset."""
-
-    phi3: float
-    phi4: float
-    phi5: float
-    phi6: float
-
-    def __post_init__(self):
-        angles = (self.phi3, self.phi4, self.phi5, self.phi6)
-        for name, value, (lo, hi) in zip(("phi3", "phi4", "phi5", "phi6"), angles, EULER_ANGLE_RANGES):
-            if not (lo <= value <= hi):
-                raise ShapeError(f"{name}={value} outside [{lo:.6g}, {hi:.6g}]")
-
-    def density(self) -> float:
-        return euler_density_u3(self.phi3, self.phi5)
-
-
 def coset_unitary(point: BallPoint, n_levels: int) -> np.ndarray:
     """Unitary on ``n_levels`` levels from a point of B^(2n).
 
@@ -136,8 +118,6 @@ def coset_unitary(point: BallPoint, n_levels: int) -> np.ndarray:
     if n + 1 > n_levels:
         raise ShapeError(f"a ball of dimension {point.dim} acts on {n + 1} levels, more than {n_levels}")
     r2 = point.radius_sq
-    if r2 > 1.0 + BALL_EDGE_TOL:
-        raise OutOfBallError(f"squared radius {r2:.17g} exceeds 1")
     x = point.complex_column()
     s = math.sqrt(max(1.0 - min(r2, 1.0), 0.0))
     out = np.eye(n_levels, dtype=complex)

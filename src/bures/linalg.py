@@ -1,8 +1,9 @@
 """Dense complex linear algebra with explicit contract checks.
 
 Thin wrappers around LAPACK (through ``numpy.linalg``) for the small matrix
-sizes this library runs at. Every function validates its input and maps
-low-level failures onto the library's exception types.
+sizes this library runs at. Every function except ``qr_decompose_stack``,
+whose one caller builds its input, validates its input and maps low-level
+failures onto the library's exception types.
 """
 
 from typing import NamedTuple
@@ -48,11 +49,6 @@ def matmul(a, b) -> ComplexMatrix:
     return a @ b
 
 
-def adjoint(a) -> ComplexMatrix:
-    """Conjugate transpose, returned as a fresh contiguous array."""
-    return np.ascontiguousarray(as_complex_matrix(a).conj().T)
-
-
 def qr_decompose(a) -> tuple[ComplexMatrix, ComplexMatrix]:
     """Householder QR of a square matrix.
 
@@ -70,17 +66,13 @@ def qr_decompose(a) -> tuple[ComplexMatrix, ComplexMatrix]:
 
 
 def qr_decompose_stack(a) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of every matrix in a finite (count, n, n) stack.
+    """Householder QR of every matrix in a finite (count, n, n) complex stack.
 
-    Unlike ``qr_decompose`` it does not raise on rank deficiency, so that one
-    bad matrix does not fail the stack: callers compare the diagonals of R
-    with PIVOT_FLOOR themselves.
+    The caller builds the stack, so its shape and finiteness are not checked
+    again. Unlike ``qr_decompose`` it does not raise on rank deficiency, so
+    that one bad matrix does not fail the stack: callers compare the
+    diagonals of R with PIVOT_FLOOR themselves.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or min(a.shape) < 1:
-        raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ShapeError("matrix entries must be finite")
     return np.linalg.qr(a)
 
 

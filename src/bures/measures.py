@@ -24,7 +24,7 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from .linalg import HERMITICITY_RTOL, adjoint, as_complex_matrix, hermitian_eig, matmul
+from .linalg import HERMITICITY_RTOL, as_complex_matrix, hermitian_eig
 
 #: Absolute tolerance on the eigenvalue sum of a spectrum.
 SPECTRUM_SUM_TOL = 1e-12
@@ -36,7 +36,7 @@ NEGATIVE_EIGENVALUE_TOL = -1e-12
 STATE_HERM_TOL = 1e-12
 STATE_RECON_TOL = 1e-10
 
-#: Eigenvalue pairs closer than this count as degenerate.
+#: Eigenvalues at or below this count as zero.
 DEGENERACY_TOL = 1e-12
 
 
@@ -67,10 +67,6 @@ class Spectrum:
     @property
     def n_levels(self) -> int:
         return self.values.size
-
-    def ascending_diagonal(self) -> np.ndarray:
-        """The eigenvalues in ascending order, as placed on the model diagonal."""
-        return self.values[::-1].copy()
 
     def num_zero(self) -> int:
         """How many eigenvalues are zero to DEGENERACY_TOL."""
@@ -113,10 +109,7 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m) -> "DensityMatrix":
-        """Validate a raw matrix and eigendecompose it."""
-        m = as_complex_matrix(m)
-        if m.shape[0] != m.shape[1]:
-            raise ShapeError(f"density matrix must be square, got {m.shape}")
+        """Eigendecompose a raw matrix; ``hermitian_eig`` checks it is a finite square matrix."""
         eig = hermitian_eig(m)
         spectrum = Spectrum(eig.eigenvalues[::-1])
         return cls(m, spectrum, eig.eigenvectors[:, ::-1])
@@ -298,7 +291,7 @@ def eigenvalue_density(spectrum: Spectrum) -> float:
     """Unnormalized eigenvalue density of the Bures volume element.
 
     prod_{j<k} lambda_factor over 2^(N-2) sqrt(prod lambda). Defined for full
-    rank, nondegenerate spectra only.
+    rank spectra only; a repeated eigenvalue gives exactly 0.
     """
     vals = spectrum.values
     n = vals.size
@@ -306,8 +299,6 @@ def eigenvalue_density(spectrum: Spectrum) -> float:
         raise ValueError("eigenvalue density needs at least 2 levels")
     if np.any(vals <= 0.0):
         raise DegenerateSpectrumError("zero eigenvalue makes the density singular")
-    if np.min(np.abs(np.diff(vals))) < DEGENERACY_TOL:
-        raise DegenerateSpectrumError("degenerate eigenvalues make the density vanish")
     prod = 1.0
     for j in range(n):
         for k in range(j + 1, n):
@@ -330,7 +321,7 @@ def bures_quadratic(rho: DensityMatrix, drho) -> float:
     scale = max(1.0, float(np.linalg.norm(drho)))
     if np.linalg.norm(drho - drho.conj().T) > 1e-10 * scale:
         raise NotHermitianError("perturbation must be Hermitian")
-    m = matmul(matmul(adjoint(rho.basis), drho), rho.basis)
+    m = rho.basis.conj().T @ drho @ rho.basis
     lam = rho.spectrum.values
     denom = lam[:, None] + lam[None, :]
     amp2 = np.abs(m) ** 2

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import BALL_EDGE_TOL, BallPoint, FlagChart, flag_unitary
-from .errors import NotHermitianError, OutOfBallError, ShapeError, SingularMatrixError
+from .coset import BallPoint, FlagChart, flag_unitary
+from .errors import NotHermitianError, ShapeError, SingularMatrixError
 from .linalg import PIVOT_FLOOR, qr_decompose, qr_decompose_stack
 from .measures import DensityMatrix, Spectrum, raise_first_failure, state_checks
 from .philox import normals, philox_words, uniforms
@@ -223,11 +223,11 @@ class StateBatch:
     ``matrices`` has shape (count, N, N) and holds finite states equal to
     their conjugate transposes bit for bit, checked at construction block by
     block. ``diagonals`` (count, N), the rho_jj observables, are derived from
-    them. ``seed`` is None for states built from explicit charts.
+    them.
     """
 
     method: str
-    seed: int | None
+    seed: int
     spectrum: Spectrum
     matrices: np.ndarray
 
@@ -359,19 +359,7 @@ def sample_chart_coords(spectrum: Spectrum, seed: int, count: int) -> np.ndarray
     return _draw_charts(RngStream(seed), coset_ladder(spectrum), 0, count)
 
 
-def _check_ball_rows(coords: np.ndarray, dims: tuple, start: int) -> None:
-    """The BallPoint contract for every layer of every row, vectorized."""
-    finite = np.all(np.isfinite(coords), axis=1)
-    if not finite.all():
-        raise ShapeError(f"record {start + int(np.argmin(finite))}: ball coordinates must be finite")
-    r2 = np.add.reduceat(coords * coords, _layer_offsets(dims), axis=1)
-    outside = np.any(r2 > 1.0 + BALL_EDGE_TOL, axis=1)
-    if outside.any():
-        row = int(np.argmax(outside))
-        raise OutOfBallError(f"record {start + row}: squared radius {r2[row].max():.17g} exceeds 1")
-
-
-def _coset_unitaries(n_levels: int, dims: tuple, coords: np.ndarray, start: int) -> np.ndarray:
+def _coset_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray:
     """Stacked ``flag_unitary`` of each row's chart, one low-rank update per layer.
 
     The layer on B^(2k) differs from the identity by a rank-two block on the
@@ -381,7 +369,6 @@ def _coset_unitaries(n_levels: int, dims: tuple, coords: np.ndarray, start: int)
     [[W - x (x† W)/(1+s), x], [-x† W, s]]: O(k^2) work per layer instead of a
     dense N x N product.
     """
-    _check_ball_rows(coords, dims, start)
     u = np.zeros((coords.shape[0], n_levels, n_levels), dtype=complex)
     first = dims[0] // 2
     u[:, range(first), range(first)] = 1.0
@@ -449,35 +436,6 @@ def _store_states(spectrum: Spectrum, unitaries: np.ndarray, out: np.ndarray, st
     raise_first_failure(state_checks(out, spectrum.values, basis, raw), start)
 
 
-def _assemble(method: str, seed, spectrum: Spectrum, count: int, unitaries_for) -> StateBatch:
-    """StateBatch of ``count`` states; ``unitaries_for(start, stop)`` yields each block's unitaries."""
-    n = spectrum.n_levels
-    try:
-        matrices = np.empty((count, n, n), dtype=complex)
-    except (MemoryError, ValueError) as exc:  # numpy raises either, by size
-        raise ShapeError(f"cannot hold {count} states of {n} levels in memory") from exc
-    for start, stop in _blocks(count, n):
-        _store_states(spectrum, unitaries_for(start, stop), matrices[start:stop], start)
-    return StateBatch(method, seed, spectrum, matrices)
-
-
-def batch_from_charts(spectrum: Spectrum, coords) -> StateBatch:
-    """Coset states for explicit chart coordinates, one row per record (diagnostics and tests).
-
-    Rows are laid out as ``sample_chart_coords`` returns them: the layers of
-    the spectrum's ladder (``coset_ladder``), smallest first.
-    """
-    dims = coset_ladder(spectrum)
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] != sum(dims):
-        raise ShapeError(f"chart rows must have {sum(dims)} coordinates, got shape {coords.shape}")
-    n = spectrum.n_levels
-    return _assemble(
-        "coset", None, spectrum, coords.shape[0],
-        lambda start, stop: _coset_unitaries(n, dims, coords[start:stop], start),
-    )
-
-
 def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> StateBatch:
     """StateBatch of ``count`` states, record i drawn from stream (seed, i).
 
@@ -492,12 +450,16 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
     n = spectrum.n_levels
     if n < 2:
         raise ShapeError("sampling needs at least 2 levels")
+    try:
+        matrices = np.empty((count, n, n), dtype=complex)
+    except (MemoryError, ValueError) as exc:  # numpy raises either, by size
+        raise ShapeError(f"cannot hold {count} states of {n} levels in memory") from exc
     rng = RngStream(seed)
     dims = coset_ladder(spectrum) if method == "coset" else ()
-
-    def unitaries_for(start, stop):
+    for start, stop in _blocks(count, n):
         if method == "haar":
-            return _haar_unitaries(rng, n, start, stop)
-        return _coset_unitaries(n, dims, _draw_charts(rng, dims, start, stop), start)
-
-    return _assemble(method, seed, spectrum, count, unitaries_for)
+            unitaries = _haar_unitaries(rng, n, start, stop)
+        else:
+            unitaries = _coset_unitaries(n, dims, _draw_charts(rng, dims, start, stop))
+        _store_states(spectrum, unitaries, matrices[start:stop], start)
+    return StateBatch(method, seed, spectrum, matrices)

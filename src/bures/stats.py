@@ -1,4 +1,4 @@
-"""Empirical distribution comparison: ECDFs, two-sample KS, quantile pairing."""
+"""Empirical distribution comparison: two-sample KS, quantile pairing."""
 
 import math
 from dataclasses import dataclass
@@ -18,32 +18,6 @@ def _as_samples(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite samples")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Ecdf:
-    """Right-continuous empirical CDF of a sample."""
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_samples(self.sorted_values, "sample")
-        object.__setattr__(self, "sorted_values", np.sort(arr))
-
-    @property
-    def n(self) -> int:
-        return self.sorted_values.size
-
-    def __call__(self, t):
-        """Fraction of samples <= t; scalar in, float out, array in, array out."""
-        counts = np.searchsorted(self.sorted_values, t, side="right")
-        if np.ndim(counts) == 0:
-            return float(counts) / self.n
-        return counts / self.n
-
-
-def ecdf(samples) -> Ecdf:
-    return Ecdf(_as_samples(samples, "samples"))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
-from bures.sampling import SampleRecord, StateBatch, batch_from_charts, batch_sample
+from bures.sampling import SampleRecord, StateBatch, batch_sample
 from bures.stats import cumulative_pairs
 
 SPEC3 = "0.5,0.375,0.125"
@@ -63,12 +63,12 @@ def test_sample_jsonl_round_trip_matches_csv(tmp_path):
 
 
 def test_sample_zero_layer_hook_writes_the_diagonal_model(tmp_path):
-    # all-zero chart coordinates through the batched kernel, written and read back
+    # the diagonal model, the state of the all-zero chart, written and read back
     out = tmp_path / "diag.csv"
     spectrum = Spectrum([0.5, 0.375, 0.125])
-    write_records(batch_from_charts(spectrum, np.zeros((1, 2 + 4))), out, "csv")
+    expected = np.diag(spectrum.values[::-1])
+    write_records(StateBatch("coset", 0, spectrum, expected[None].astype(complex)), out, "csv")
     (record,) = read_records(out)
-    expected = np.diag(spectrum.ascending_diagonal())
     assert np.array_equal(record.rho.matrix, expected)
 
 
@@ -397,6 +397,15 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         # a JSON integer beyond Python's 4,300-digit int-string limit
         (_write_text("digits.jsonl", '{"observables": {"rho_11": 0.5}}\n{"index": 1%s}\n' % ("0" * 5000)),
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "digits.jsonl, line 2: "),
+        # compare reads only rho_jj observables, whatever other columns a file has
+        (_write_text("cols.csv", "method,index,re_1_2,rho_11\ncoset,0,0.25,0.5\ncoset,1,0.25,0.5\n"),
+         ["compare", "{f}", "{f}", "--column", "index"], 2, "'index' is not a rho_jj observable"),
+        (_write_text("cols.csv", "method,index,re_1_2,rho_11\ncoset,0,0.25,0.5\ncoset,1,0.25,0.5\n"),
+         ["compare", "{f}", "{f}", "--column", "re_1_2"], 2, "'re_1_2' is not a rho_jj observable"),
+        (_write_text("cols.jsonl", '{"index": 0, "re_1_2": 0.25, "observables": {"rho_11": 0.5, "index": 0}}\n'),
+         ["compare", "{f}", "{f}", "--column", "index"], 2, "'index' is not a rho_jj observable"),
+        (_write_text("cols.jsonl", '{"index": 0, "re_1_2": 0.25, "observables": {"rho_11": 0.5, "re_1_2": 0.25}}\n'),
+         ["compare", "{f}", "{f}", "--column", "re_1_2"], 2, "'re_1_2' is not a rho_jj observable"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
@@ -406,6 +415,7 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "check-jacobian-seed-minus-1", "sample-coset-one-level", "sample-haar-one-level",
         "check-jacobian-n-1e18", "check-euler-nodes-1e18", "compare-non-utf8-csv", "compare-non-utf8-jsonl",
         "compare-deep-jsonl", "compare-overlong-csv-field", "compare-jsonl-int-5000-digits",
+        "compare-index-csv", "compare-re-1-2-csv", "compare-index-jsonl", "compare-re-1-2-jsonl",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -832,4 +842,8 @@ def test_density_three_levels_matches_library(capsys, spectrum3):
 
 
 def test_density_rejects_degenerate_spectrum(capsys):
-    assert main(["density", "--spectrum", "0.5,0.5"]) == 2
+    # a repeated eigenvalue has density 0; only a zero eigenvalue is rejected
+    assert main(["density", "--spectrum", "0.5,0.5"]) == 0
+    assert float(capsys.readouterr().out.partition("=")[2]) == 0.0
+    assert main(["density", "--spectrum", "0.75,0.25,0"]) == 2
+    assert "zero eigenvalue" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from bures.coset import (
     EULER_ANGLE_RANGES,
     BallPoint,
-    EulerChart,
     FlagChart,
     _jacobian_matrix,
     b_to_spherical,
@@ -286,10 +285,3 @@ def test_euler_volume_matches_four_ball():
 
 def test_euler_volume_quadrature_converged():
     assert euler_coset_volume(32) == pytest.approx(euler_coset_volume(64), rel=1e-12)
-
-
-def test_euler_chart_validates_ranges():
-    chart = EulerChart(0.3, 1.0, 0.7, 3.0)
-    assert chart.density() == pytest.approx(euler_density_u3(0.3, 0.7))
-    with pytest.raises(ShapeError):
-        EulerChart(2.0, 1.0, 0.7, 3.0)  # phi3 beyond pi/2

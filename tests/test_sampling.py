@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import bures.sampling
-from bures.coset import BallPoint, FlagChart
+from bures.coset import BALL_EDGE_TOL, BallPoint, FlagChart
 from bures.errors import NotHermitianError, ShapeError
 from bures.measures import Spectrum
 from bures.sampling import (
     BLOCK_BYTES,
     RngStream,
     StateBatch,
-    batch_from_charts,
     batch_sample,
     coset_ladder,
     sample_ball,
@@ -159,7 +158,7 @@ def test_record_observables_match_matrix(spectrum3):
 def test_zero_chart_gives_the_diagonal_model(spectrum3):
     chart = FlagChart((BallPoint.zero(2), BallPoint.zero(4)))
     rho = state_from_chart(spectrum3, chart)
-    assert np.array_equal(rho.matrix, np.diag(spectrum3.ascending_diagonal()))
+    assert np.array_equal(rho.matrix, np.diag(spectrum3.values[::-1]))
 
 
 def test_methods_agree_on_all_diagonals(spectrum3):
@@ -239,21 +238,11 @@ def test_batch_sample_disjoint_seeds_agree(spectrum3):
     assert result.passed
 
 
-def test_batch_sample_zero_layer_hook(spectrum3):
-    # all-zero chart coordinates through the batched kernel
-    batch = batch_from_charts(spectrum3, np.zeros((3, 2 + 4)))
-    target = np.diag(spectrum3.ascending_diagonal())
-    for matrix in batch.matrices:
-        assert np.array_equal(matrix, target)
-
-
 def test_batch_sample_validation(spectrum3):
     with pytest.raises(ValueError):
         batch_sample("coset", spectrum3, 0, 1)
     with pytest.raises(ValueError):
         batch_sample("bogus", spectrum3, 1, 1)
-    with pytest.raises(ValueError):
-        batch_from_charts(spectrum3, np.zeros((1, 4)))
 
 
 def _entry(j, k, change):
@@ -306,6 +295,9 @@ def test_batch_chart_coords_match_scalar_draws(n_levels, zero_block):
     values[: n_levels - zero_block] = np.arange(n_levels - zero_block, 0, -1)
     spectrum = Spectrum(values / values.sum())
     coords = sample_chart_coords(spectrum, 17, 40)
+    # every layer of every row is a finite point of its ball
+    r2 = np.add.reduceat(coords * coords, np.cumsum((0,) + coset_ladder(spectrum)[:-1]), axis=1)
+    assert np.isfinite(coords).all() and (r2 <= 1.0 + BALL_EDGE_TOL).all()
     for i, row in enumerate(coords):
         chart = sample_flag_chart(spectrum, RngStream(17, i))
         assert np.array_equal(row, np.concatenate([layer.coords for layer in chart.layers]))

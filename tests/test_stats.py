@@ -3,42 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from bures.errors import ShapeError
-from bures.stats import Ecdf, KsResult, cumulative_pairs, ecdf, ks_two_sample
-
-
-# --------------------------------------------------------------------- ecdf
-
-
-def test_ecdf_single_value():
-    f = ecdf([2.0])
-    assert f(1.9) == 0.0
-    assert f(2.0) == 1.0
-    assert f(5.0) == 1.0
-
-
-def test_ecdf_quartiles():
-    f = ecdf([1.0, 2.0, 3.0, 4.0])
-    assert f(0.5) == 0.0
-    assert f(1.0) == 0.25
-    assert f(2.5) == 0.5
-    assert f(4.0) == 1.0
-
-
-def test_ecdf_handles_ties():
-    f = ecdf([1.0, 1.0, 1.0, 2.0])
-    assert f(1.0) == 0.75
-    assert f(1.5) == 0.75
-
-
-def test_ecdf_sorts_input_and_vectorizes():
-    f = Ecdf(np.array([3.0, 1.0, 2.0]))
-    assert np.array_equal(f.sorted_values, [1.0, 2.0, 3.0])
-    assert np.array_equal(f(np.array([0.0, 1.5, 9.0])), [0.0, 1 / 3, 1.0])
-
-
-def test_ecdf_rejects_empty():
-    with pytest.raises(ValueError):
-        ecdf([])
+from bures.stats import KsResult, cumulative_pairs, ks_two_sample
 
 
 # ----------------------------------------------------------------------- ks
