@@ -5,6 +5,7 @@ check, 2 invalid input, 3 I/O failure.
 """
 
 import argparse
+import collections
 import contextlib
 import csv
 import itertools
@@ -13,6 +14,7 @@ import math
 import operator
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,50 +178,136 @@ def write_records(batch: StateBatch, path, fmt: str) -> None:
         raise UsageError(f"unknown format {fmt!r}")
 
 
-#: Most records read_records parses, eigendecomposes and checks as one block.
-#: Below it the sampler's byte budget sets the block (``block_records``); the
-#: cap keeps a block's temporaries small next to the records it returns.
+#: Most records read_records eigendecomposes and checks as one block. Below it
+#: the sampler's byte budget sets the block (``block_records``); the cap keeps
+#: a block's temporaries small next to the records it returns.
 READ_BLOCK_CAP = 256
 
 
 def read_records(path) -> list:
     """Load a CSV or JSONL record file back into SampleRecord objects.
 
-    The file is parsed in blocks, each checked by ``_checked_block``, which
-    names the first failing record; the records equal those the per-record
-    constructors build, bit for bit. A malformed file raises UsageError
-    naming the file, and the line where it is known.
+    The file becomes arrays a block at a time, each checked by
+    ``_checked_block``, which names the first failing record; the records
+    equal those the per-record constructors build, bit for bit. A malformed
+    file raises UsageError naming the file, and the line where it is known.
     """
-    records, block = [], []
+    records = []
     with _record_file(path) as (handle, jsonl):
-        for row in _jsonl_rows(handle, path) if jsonl else _csv_rows(handle, path):
-            block.append(row)
-            if len(block) == min(READ_BLOCK_CAP, block_records(len(row[4]))):
-                records += _checked_block(block, len(records))
-                block = []
-    if block:
-        records += _checked_block(block, len(records))
+        blocks = _row_blocks(_jsonl_rows(handle, path)) if jsonl else _csv_blocks(handle, path)
+        for methods, indices, numbers in blocks:
+            records += _checked_block(methods, indices, numbers, len(records))
     return records
 
 
-def _checked_block(block, start: int) -> list:
-    """SampleRecords of parsed (method, index, re, im, rho_jj) rows, numbered from ``start``.
+def _read_step(n: int) -> int:
+    """Records per checked block at N levels."""
+    return min(READ_BLOCK_CAP, block_records(n))
 
-    One vectorized pass runs the checks of ``DensityMatrix.from_matrix`` and
-    ``SampleRecord``, then the file's own: each rho_jj cell is within
-    OBSERVABLE_TOL of the matrix diagonal, from which the records derive it.
+
+def _levels(width: int) -> int:
+    """N of a record row holding 2N^2 + N numbers: Re rho, Im rho, rho_jj."""
+    return (math.isqrt(8 * width + 1) - 1) // 4
+
+
+def _checked_block(methods: list, indices: list, numbers: np.ndarray, start: int) -> list:
+    """SampleRecords of a block, numbered from ``start``.
+
+    ``numbers`` holds one row per record: Re rho and Im rho (row-major), then
+    the file's rho_jj cells. One vectorized pass runs the checks of
+    ``DensityMatrix.from_matrix`` and ``SampleRecord``, then the file's own:
+    each rho_jj cell is within OBSERVABLE_TOL of the matrix diagonal, from
+    which the records derive it.
     """
-    methods, indices, re, im, diagonals = zip(*block)
-    n = len(diagonals[0])
-    shape = (len(block), n, n)
-    matrices = np.reshape(re, shape) + 1j * np.reshape(im, shape)
-    off = ~(np.abs(np.array(diagonals) - np.diagonal(matrices, axis1=1, axis2=2).real) <= OBSERVABLE_TOL).all(axis=1)
+    n = _levels(numbers.shape[1])
+    nn = n * n
+    shape = (len(numbers), n, n)
+    matrices = numbers[:, :nn].reshape(shape) + 1j * numbers[:, nn : 2 * nn].reshape(shape)
+    diagonals = np.diagonal(matrices, axis1=1, axis2=2).real
+    off = ~(np.abs(numbers[:, 2 * nn :] - diagonals) <= OBSERVABLE_TOL).all(axis=1)
     after = [
         (np.array([m not in METHODS for m in methods], dtype=bool), ValueError, "unknown sampling method"),
         (off, ValueError, "rho_jj observables inconsistent with the state"),
     ]
     rhos = density_matrices(matrices, start, after)
-    return [_prechecked(SampleRecord, method=m, index=i, rho=rho) for m, i, rho in zip(methods, indices, rhos)]
+    return _prechecked(SampleRecord, method=methods, index=indices, rho=rhos)
+
+
+def _row_blocks(rows):
+    """(methods, indices, numbers array) per block of parsed (method, index, numbers) rows.
+
+    Every block's numbers are one buffer, refilled for the next block, so a
+    block is used up before the next is drawn. A new array per block would
+    be freed every block, which raises glibc's mmap threshold and lets the
+    heap fragment: four reads of two 2,000-record N=10 JSONL files then
+    peaked about 0.5 MB higher.
+    """
+    rows = iter(rows)
+    buffer = None
+    for first in rows:
+        if buffer is None:
+            buffer = np.empty((_read_step(_levels(len(first[2]))), len(first[2])))
+        methods, indices, numbers = zip(first, *itertools.islice(rows, len(buffer) - 1))
+        buffer[: len(numbers)] = numbers
+        del numbers  # the parsed rows go before the block is checked
+        yield list(methods), list(indices), buffer[: len(methods)]
+
+
+def _plain_lines(handle):
+    """The lines of ``handle``, raising ValueError at one csv would not read as its text split at commas.
+
+    That is a line with a quote character (csv's quoting) or a field over
+    ``csv.field_size_limit()`` (csv's error), and one with a NUL, which numpy
+    cuts off the end of a string cell.
+    """
+    limit = csv.field_size_limit()
+    for line in handle:
+        overlong = len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit
+        if '"' in line or "\0" in line or overlong:
+            raise ValueError("not a plain CSV line")
+        yield line
+
+
+def _csv_blocks(handle, path):
+    """(methods, indices, numbers array) per block of a CSV record file.
+
+    The data rows are parsed in one C pass (``np.loadtxt`` over
+    ``_plain_lines``), whose numbers and integers are Python's ``float`` and
+    ``int`` of the texts it accepts. A method cell longer than any method
+    stays unknown, however ``loadtxt`` cuts it. A file the pass does not take
+    cleanly goes to ``_csv_rows``, read from the start, which yields the same
+    records or raises naming the line.
+    """
+    reader = csv.reader(handle)
+    with _csv_errors(reader, path):
+        header = next(reader, None)
+    if header is None:
+        return
+    n = _header_levels(header, path)
+    labels = _csv_header(n)
+    columns = _label_columns(header, labels, path)
+    width = max(map(len, METHODS)) + 1
+    dtype = np.dtype([("method", f"U{width}"), ("index", np.int64), ("numbers", np.float64, (len(labels) - 2,))])
+    try:
+        with warnings.catch_warnings():
+            # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                _plain_lines(handle), dtype=dtype, delimiter=",", comments=None, usecols=columns, ndmin=1
+            )
+    except (ValueError, Warning):
+        table = None  # the row parser's errors then carry no loadtxt context
+    if table is None:
+        handle.seek(0)
+        yield from _row_blocks(_csv_rows(handle, path))
+        return
+    # a known method cell becomes the METHODS string itself, which the records then share
+    method_text = {method: method for method in METHODS}.get
+    step = _read_step(n)
+    for start in range(0, len(table), step):
+        block = table[start : start + step]
+        methods = block["method"].tolist()
+        yield list(map(method_text, methods, methods)), block["index"].tolist(), block["numbers"]
 
 
 @contextlib.contextmanager
@@ -235,24 +323,43 @@ def _csv_errors(reader, path):
         raise UsageError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
+def _header_levels(header: list, path) -> int:
+    """N of a CSV record header: it must hold N^2 distinct re_j_k labels."""
+    count = len({label for label in header if label.startswith("re_")})
+    n = math.isqrt(count)
+    if n < 1:
+        raise UsageError(f"no re_j_k columns in {path}")
+    if n * n != count:
+        raise UsageError(f"{count} distinct re_j_k columns in {path}, not N^2 for any N")
+    return n
+
+
 def _csv_rows(handle, path):
-    """(method, index, re, im, rho_jj) per row of a CSV record file, re and im flat."""
+    """(method, index, numbers) per row of a CSV record file: Re rho, Im rho (row-major), rho_jj."""
     reader = csv.reader(handle)
     with _csv_errors(reader, path):
         header = next(reader, None)
         if header is None:
             return
-        n = math.isqrt(sum(label.startswith("re_") for label in header))
-        if n < 1:
-            raise UsageError(f"no re_j_k columns in {path}")
-        nn = n * n
-        for line, (method, index, *cells) in _picked_cells(reader, header, _csv_header(n), path):
+        labels = _csv_header(_header_levels(header, path))
+        for line, (method, index, *cells) in _picked_cells(reader, header, labels, path):
             try:
                 numbers = list(map(float, cells))
                 index = int(index)
             except ValueError as exc:
                 raise UsageError(f"{path}, line {line}: {exc}") from exc
-            yield method, index, numbers[:nn], numbers[nn : 2 * nn], numbers[2 * nn :]
+            yield method, index, numbers
+
+
+def _label_columns(header: list, labels: list, path) -> list:
+    """Column index of each of ``labels`` in a CSV header; each must appear exactly once."""
+    counts = collections.Counter(header)
+    for label in labels:
+        if counts[label] != 1:
+            where = "not present" if counts[label] == 0 else f"present {counts[label]} times"
+            raise UsageError(f"column {label!r} {where} in {path}")
+    columns = {label: i for i, label in enumerate(header)}
+    return [columns[label] for label in labels]
 
 
 def _picked_cells(reader, header: list, labels: list, path):
@@ -261,11 +368,7 @@ def _picked_cells(reader, header: list, labels: list, path):
     Labels are resolved to column indices once, from the header, so column
     order is free. One label gives the bare cell, several a tuple.
     """
-    columns = {label: i for i, label in enumerate(header)}
-    for label in labels:
-        if label not in columns:
-            raise UsageError(f"column {label!r} not present in {path}")
-    pick = operator.itemgetter(*(columns[label] for label in labels))
+    pick = operator.itemgetter(*_label_columns(header, labels, path))
     for row in reader:
         if not row:
             continue
@@ -308,7 +411,7 @@ def _square(rows, n: int) -> bool:
 
 
 def _jsonl_rows(handle, path):
-    """(method, index, re, im, rho_jj) per line of a JSONL record file, re and im flat.
+    """(method, index, numbers) per line of a JSONL record file: Re rho, Im rho (row-major), rho_jj.
 
     The first record fixes the level count for the file. Every entry and
     observable must be a JSON number, checked by one type pass per record:
@@ -342,8 +445,7 @@ def _jsonl_rows(handle, path):
             raise UsageError(f"{path}, line {line}: no {exc} entry") from exc
         except (TypeError, ValueError, OverflowError) as exc:  # a JSON integer may overflow a float
             raise UsageError(f"{path}, line {line}: {exc}") from exc
-        nn = n * n
-        yield method, index, numbers[:nn], numbers[nn : 2 * nn], numbers[2 * nn :]
+        yield method, index, numbers
 
 
 @contextlib.contextmanager

@@ -11,6 +11,7 @@ lambda_k) over 2^(N-2) sqrt(lambda_1 ... lambda_N); the angular part is the
 flag-manifold volume computed here in two common normalizations.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ STATE_RECON_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Spectrum:
     """Eigenvalues of a density matrix, stored in descending order.
 
@@ -73,7 +74,7 @@ class Spectrum:
         return int(np.count_nonzero(self.values <= DEGENERACY_TOL))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite, trace-one matrix with eigensystem attached.
 
@@ -130,19 +131,20 @@ class DensityMatrix:
         return self.spectrum.n_levels
 
 
-def _prechecked(cls, **fields):
-    """Instance of a frozen dataclass built from fields a block check has passed.
+def _prechecked(cls, **columns) -> list:
+    """Instances of a slotted frozen dataclass, one per row of the field ``columns``.
 
-    Skips ``__post_init__``: re-running the per-record checks would repeat
-    the block check record by record, which costs most of what it saves.
-    Fields are set one at a time, as the dataclass's ``__init__`` sets them;
-    filling ``__dict__`` in one update made each instance about 150 bytes
-    larger.
+    Skips ``__post_init__``: the caller's block check has passed every row,
+    and re-running the per-record checks would repeat it record by record,
+    which costs most of what it saves. Each field is stored through its slot
+    descriptor, which bypasses the frozen ``__setattr__`` as
+    ``object.__setattr__`` does, one C-level ``map`` per field.
     """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+    count = len(next(iter(columns.values())))
+    objs = list(map(object.__new__, itertools.repeat(cls, count)))
+    for name, column in columns.items():
+        list(map(getattr(cls, name).__set__, objs, column))
+    return objs
 
 
 def state_checks(matrices: np.ndarray, values: np.ndarray, basis: np.ndarray, recon=None) -> list:
@@ -236,10 +238,7 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
     values = np.sort(np.clip(w, 0.0, None), axis=1)[:, ::-1].copy()
     basis = v[:, :, ::-1]
     raise_first_failure(checks + state_checks(h, values, basis) + list(after), start)
-    return [
-        _prechecked(DensityMatrix, matrix=m, spectrum=_prechecked(Spectrum, values=lam), basis=b)
-        for m, lam, b in zip(matrices, values, basis)
-    ]
+    return _prechecked(DensityMatrix, matrix=matrices, spectrum=_prechecked(Spectrum, values=values), basis=basis)
 
 
 def ball_volume(n: int) -> float:

@@ -83,7 +83,7 @@ class RngStream:
         return (re + 1j * im) * _SQRT_HALF
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SampleRecord:
     """One sampled state: its method, its stream index and the state itself.
 

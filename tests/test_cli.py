@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bures import cli
 from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
@@ -406,6 +407,9 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
          ["compare", "{f}", "{f}", "--column", "index"], 2, "'index' is not a rho_jj observable"),
         (_write_text("cols.jsonl", '{"index": 0, "re_1_2": 0.25, "observables": {"rho_11": 0.5, "re_1_2": 0.25}}\n'),
          ["compare", "{f}", "{f}", "--column", "re_1_2"], 2, "'re_1_2' is not a rho_jj observable"),
+        # a second rho_11 column would otherwise be read in place of the first
+        (_write_text("dup.csv", "method,index,rho_11,rho_11\ncoset,0,0.5,0.25\ncoset,1,0.5,0.25\n"),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "column 'rho_11' present 2 times in"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
@@ -416,6 +420,7 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "check-jacobian-n-1e18", "check-euler-nodes-1e18", "compare-non-utf8-csv", "compare-non-utf8-jsonl",
         "compare-deep-jsonl", "compare-overlong-csv-field", "compare-jsonl-int-5000-digits",
         "compare-index-csv", "compare-re-1-2-csv", "compare-index-jsonl", "compare-re-1-2-jsonl",
+        "compare-duplicate-rho-11-csv",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -637,17 +642,143 @@ def drop_column(label):
     return edit
 
 
+def duplicate_column(label):
+    def edit(rows):
+        col = rows[0].index(label)
+        for row in rows:
+            row.append(row[col])
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, names",
     [
         (drop_column("im_2_3"), "'im_2_3'"),
         (lambda rows: rows[301].pop(), "line 302"),
+        # 8 re_ labels would otherwise read as the 2x2 corner of each record
+        (drop_column("re_3_3"), r"8 distinct re_j_k columns in .*edited\.csv"),
+        (duplicate_column("re_1_1"), r"'re_1_1' present 2 times in .*edited\.csv"),
     ],
-    ids=["header-missing-label", "short-row"],
+    ids=["header-missing-label", "short-row", "header-drops-re-3-3", "header-duplicate-re-1-1"],
 )
 def test_read_records_rejects_malformed_csv(tmp_path, edit, names):
-    with pytest.raises(BuresError, match=names):
+    with pytest.raises(BuresError, match=names) as raised:
         read_records(edited_file(tmp_path, edit))
+    assert raised.type is UsageError
+
+
+def _line(k, change):
+    """Edit of line ``k`` (0 is the header) of a CSV's text lines: change(line) gives the new line."""
+
+    def edit(lines):
+        lines[k] = change(lines[k])
+
+    return edit
+
+
+def _cell(k, column, change):
+    """Edit of one cell of line ``k``: change(cell text) gives the new text."""
+
+    def edit(lines):
+        cells = lines[k].split(",")
+        cells[column] = change(cells[column])
+        lines[k] = ",".join(cells)
+
+    return edit
+
+
+def _columns_around_numbers(labels, cells):
+    """Edit adding columns ``labels[:2]`` after the index and ``labels[2]`` last; data rows get ``cells``."""
+
+    def edit(lines):
+        for k, line in enumerate(lines):
+            method, index, numbers = line.split(",", 2)
+            extra = labels if k == 0 else cells
+            lines[k] = ",".join([method, index, extra[0], extra[1], numbers, extra[2]])
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, outcome",
+    [
+        (_cell(1, 0, lambda m: f'"{m}"'), None),
+        (_cell(1, 3, lambda x: f'"{x}"'), None),
+        (lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]), None),
+        (lambda lines: lines.insert(2, "   "), (UsageError, "line 3: 1 fields")),
+        (lambda lines: lines.insert(2, "# a comment"), (UsageError, "line 3: 1 fields")),
+        (_line(1, lambda line: line + ",extra"), None),
+        (_cell(1, 1, lambda i: "1_000"), None),
+        (_cell(1, 1, lambda i: str(2**70)), None),
+        (_cell(1, 1, lambda i: " 7"), None),
+        (_cell(1, 3, lambda x: "0.0_1"), (NotHermitianError, "record 0: ")),
+        (_cell(1, 3, lambda x: "\t" + x), None),
+        (_cell(1, 0, lambda m: m + " "), (ValueError, "record 0: unknown sampling method")),
+        (_cell(1, 0, lambda m: " " + m), (ValueError, "record 0: unknown sampling method")),
+        (_cell(1, 0, lambda m: m + m), (ValueError, "record 0: unknown sampling method")),
+        (_cell(1, 0, lambda m: ""), (ValueError, "record 0: unknown sampling method")),
+        # numpy drops trailing NULs from a string cell; csv keeps them
+        (_cell(1, 0, lambda m: m + "\0"), (ValueError, "record 0: unknown sampling method")),
+        # a quoted comma in an unused column: split at every comma, the record's numbers
+        # would each move one column on, and all still parse
+        (_columns_around_numbers(("note", "pad", "tail"), ('"a,b"', "0.5", "0.5")), None),
+        # an unused field over csv.field_size_limit()
+        (_line(2, lambda line: line + "," + "1" * 200_000), (UsageError, "line 3: field larger than field limit")),
+    ],
+    ids=[
+        "quoted-method", "quoted-number", "crlf", "whitespace-line", "comment-line", "extra-trailing-field",
+        "index-1_000", "index-2**70", "index-space-7", "float-0.0_1", "tab-before-number", "method-trailing-space",
+        "method-leading-space", "method-cosetcoset", "method-empty", "method-trailing-nul",
+        "quoted-comma-unused-column",
+        "overlong-extra-field",
+    ],
+)
+def test_csv_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, outcome):
+    out = tmp_path / "quirk.csv"
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 4, 3), out, "csv")
+    lines = out.read_text().splitlines()
+    edit(lines)
+    out.write_bytes(("\n".join(lines) + "\n").encode())
+
+    def outcome_of_read():
+        try:
+            return read_records(out)
+        except Exception as exc:
+            return exc
+
+    def not_plain(handle):
+        raise ValueError("not a plain CSV line")
+
+    got = outcome_of_read()
+    monkeypatch.setattr(cli, "_plain_lines", not_plain)  # every CSV now goes to the row parser
+    want = outcome_of_read()
+    if outcome is None:
+        assert_records_identical(got, want)
+    else:
+        error, message = outcome
+        assert type(got) is type(want) is error
+        assert str(got) == str(want)
+        assert message in str(got)
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [([0.5, 0.375, 0.125], 600), ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400)],
+    ids=["n3-three-blocks", "n10-zero-block"],
+)
+def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count):
+    out = tmp_path / "written.csv"
+    write_records(batch_sample("haar", Spectrum(values), count, 9), out, "csv")
+
+    def no_row_parser(handle, path):
+        raise AssertionError("a written CSV went to the row parser")
+
+    monkeypatch.setattr(cli, "_csv_rows", no_row_parser)
+    records = read_records(out)
+    assert len(records) == count
+    for obj in (records[0], records[0].rho, records[0].rho.spectrum):
+        assert not hasattr(obj, "__dict__"), type(obj)
 
 
 @pytest.mark.parametrize("index", ["1.5", "true", '"7"', "null"])
