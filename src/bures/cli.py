@@ -268,6 +268,20 @@ def _plain_lines(handle):
         yield line
 
 
+def _c_pass(handle, dtype, columns):
+    """The rest of a CSV ``handle`` as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
+
+    A line ``_plain_lines`` refuses, a cell ``dtype`` does not take or a warning fails the pass.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
+            warnings.simplefilter("error")
+            return np.loadtxt(_plain_lines(handle), dtype=dtype, delimiter=",", comments=None, usecols=columns, ndmin=1)
+    except (ValueError, Warning):
+        return None  # the caller's row parser then raises, with no loadtxt context
+
+
 def _csv_blocks(handle, path):
     """(methods, indices, numbers array) per block of a CSV record file.
 
@@ -288,15 +302,7 @@ def _csv_blocks(handle, path):
     columns = _label_columns(header, labels, path)
     width = max(map(len, METHODS)) + 1
     dtype = np.dtype([("method", f"U{width}"), ("index", np.int64), ("numbers", np.float64, (len(labels) - 2,))])
-    try:
-        with warnings.catch_warnings():
-            # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                _plain_lines(handle), dtype=dtype, delimiter=",", comments=None, usecols=columns, ndmin=1
-            )
-    except (ValueError, Warning):
-        table = None  # the row parser's errors then carry no loadtxt context
+    table = _c_pass(handle, dtype, columns)
     if table is None:
         handle.seek(0)
         yield from _row_blocks(_csv_rows(handle, path))
@@ -453,15 +459,16 @@ def _record_file(path):
     """(open handle, whether it is JSONL) of a record file.
 
     The format is told by content, not name: JSONL if the first non-blank
-    character is "{". Text that is not UTF-8 raises UsageError naming the file.
+    character is "{". A leading byte-order mark is skipped. Text that is not
+    UTF-8 raises UsageError naming the file.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             chunks = iter(lambda: handle.read(4096), "")
             jsonl = next(filter(None, map(str.lstrip, chunks)), "").startswith("{")
         # csv needs newline=""; JSONL lines of N=100 records split about 2x
         # faster with universal newlines
-        with open(path, encoding="utf-8", newline=None if jsonl else "") as handle:
+        with open(path, encoding="utf-8-sig", newline=None if jsonl else "") as handle:
             yield handle, jsonl
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -472,7 +479,10 @@ _OBSERVABLE_LABEL = re.compile(r"rho_([1-9][0-9]*)\1")
 
 
 def read_column(path, column: str) -> np.ndarray:
-    """Extract one rho_jj observable column without validating whole records."""
+    """Extract one rho_jj observable column without validating whole records.
+
+    A CSV column takes ``_c_pass``, or the row parser where that fails or reads a non-finite value.
+    """
     if not _OBSERVABLE_LABEL.fullmatch(column):
         raise UsageError(f"column {column!r} is not a rho_jj observable")
     with _record_file(path) as (handle, jsonl):
@@ -483,7 +493,14 @@ def read_column(path, column: str) -> np.ndarray:
             reader = csv.reader(handle)
             with _csv_errors(reader, path):
                 header = next(reader, None)
-                cells = [] if header is None else [cell for _, cell in _picked_cells(reader, header, [column], path)]
+            values = None if header is None else _c_pass(handle, float, _label_columns(header, [column], path))
+            if values is not None and np.isfinite(values).all():
+                return values
+            handle.seek(0)
+            reader = csv.reader(handle)
+            with _csv_errors(reader, path):
+                rows = [] if next(reader, None) is None else _picked_cells(reader, header, [column], path)
+                cells = [cell for _, cell in rows]
     if not cells:
         raise UsageError(f"no data rows in {path}")
     return np.array([_cell_value(cell, column, path) for cell in cells])
@@ -542,20 +559,22 @@ def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
     a = read_column(a_path, column)
     b = read_column(b_path, column)
     result = ks_two_sample(a, b)
-    print(f"samples: n = {result.n}, m = {result.m}")
-    print(f"KS statistic = {result.statistic:.9g}")
-    print(f"critical(1%) = {result.critical_001:.9g}")
     if pairs_out is None:
         stem_a = Path(a_path).stem
         stem_b = Path(b_path).stem
         pairs_out = Path(a_path).with_name(f"{stem_a}_vs_{stem_b}_pairs.csv")
+    # the sidecar is written before any of the report, so an I/O failure prints none of it
     if a.size == b.size:
         pairs = cumulative_pairs(a, b)
         with open(pairs_out, "w", newline="") as handle:
             handle.write("a,b\n" + ("%.17g,%.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
-        print(f"pairs written to {pairs_out}")
+        pairs_line = f"pairs written to {pairs_out}"
     else:
-        print("pairs skipped (sample sizes differ)")
+        pairs_line = "pairs skipped (sample sizes differ)"
+    print(f"samples: n = {result.n}, m = {result.m}")
+    print(f"KS statistic = {result.statistic:.9g}")
+    print(f"critical(1%) = {result.critical_001:.9g}")
+    print(pairs_line)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"compare: {verdict}")
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED

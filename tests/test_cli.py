@@ -292,11 +292,27 @@ def test_compare_missing_file(tmp_path):
     assert main(["compare", str(out), str(tmp_path / "nowhere.csv")]) == 3
 
 
-def test_compare_explicit_pairs_path(tmp_path):
+def test_compare_explicit_pairs_path(tmp_path, capsys):
     out = run_sample(tmp_path, "p.csv")
     target = tmp_path / "custom_pairs.csv"
+    capsys.readouterr()
     assert main(["compare", str(out), str(out), "--pairs-out", str(target)]) == 0
     assert target.exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "samples: n = 200, m = 200", "KS statistic = 0", lines[2], f"pairs written to {target}", "compare: PASS"
+    ]
+    assert lines[2].startswith("critical(1%) = ")
+
+
+def test_compare_prints_nothing_before_an_io_failure(tmp_path, capsys):
+    out = run_sample(tmp_path, "io.csv")
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out), "--pairs-out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("I/O error:")
 
 
 def _write_text(name, text):
@@ -735,24 +751,10 @@ def _columns_around_numbers(labels, cells):
     ],
 )
 def test_csv_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, outcome):
-    out = tmp_path / "quirk.csv"
-    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 4, 3), out, "csv")
-    lines = out.read_text().splitlines()
-    edit(lines)
-    out.write_bytes(("\n".join(lines) + "\n").encode())
-
-    def outcome_of_read():
-        try:
-            return read_records(out)
-        except Exception as exc:
-            return exc
-
-    def not_plain(handle):
-        raise ValueError("not a plain CSV line")
-
-    got = outcome_of_read()
+    out = quirk_file(tmp_path, edit)
+    got, got_column = outcome_of(read_records, out), outcome_of(read_rho_33, out)
     monkeypatch.setattr(cli, "_plain_lines", not_plain)  # every CSV now goes to the row parser
-    want = outcome_of_read()
+    want, want_column = outcome_of(read_records, out), outcome_of(read_rho_33, out)
     if outcome is None:
         assert_records_identical(got, want)
     else:
@@ -760,6 +762,75 @@ def test_csv_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, outcome):
         assert type(got) is type(want) is error
         assert str(got) == str(want)
         assert message in str(got)
+    assert_same_column_outcome(got_column, want_column)
+
+
+def quirk_file(tmp_path, edit):
+    """A 4-record N=3 CSV whose text lines (header first) went through ``edit``."""
+    out = tmp_path / "quirk.csv"
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 4, 3), out, "csv")
+    lines = out.read_text().splitlines()
+    edit(lines)
+    out.write_bytes(("\n".join(lines) + "\n").encode())
+    return out
+
+
+def outcome_of(read, path):
+    try:
+        return read(path)
+    except Exception as exc:
+        return exc
+
+
+def read_rho_33(path):
+    return read_column(path, "rho_33")
+
+
+def not_plain(handle):
+    raise ValueError("not a plain CSV line")
+
+
+def assert_same_column_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert same_bits(got, want)
+    else:
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+
+
+def _last_column_first(lines):
+    lines[:] = [",".join(line.rsplit(",", 1)[::-1]) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_last_column_first, None),
+        (_cell(2, -1, lambda x: "nan"), "non-finite value 'nan'"),
+        (_cell(2, -1, lambda x: "inf"), "non-finite value 'inf'"),
+        (_cell(2, -1, lambda x: "-Infinity"), "non-finite value '-Infinity'"),
+        (_cell(2, -1, lambda x: "1e999"), "non-finite value '1e999'"),
+        (_cell(2, -1, lambda x: ""), "non-numeric value ''"),
+        (lambda lines: lines.__delitem__(slice(1, None)), "no data rows"),
+        (in_turn(_last_column_first, lambda lines: lines.insert(2, "   ")), "non-numeric value '   '"),
+        # the row parser reads the first bad cell, wherever the C pass stopped
+        (in_turn(_cell(3, -1, lambda x: "abc"), _cell(2, -1, lambda x: "nan")), "non-finite value 'nan'"),
+    ],
+    ids=[
+        "column-first", "nan", "inf", "minus-infinity", "1e999", "empty-cell", "header-only",
+        "whitespace-line-column-first", "nan-before-non-numeric",
+    ],
+)
+def test_read_column_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, message):
+    out = quirk_file(tmp_path, edit)
+    got = outcome_of(read_rho_33, out)
+    monkeypatch.setattr(cli, "_plain_lines", not_plain)
+    want = outcome_of(read_rho_33, out)
+    assert_same_column_outcome(got, want)
+    if message is None:
+        assert isinstance(got, np.ndarray) and len(got) == 4
+    else:
+        assert type(got) is UsageError and message in str(got)
 
 
 @pytest.mark.parametrize(
@@ -774,11 +845,17 @@ def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count):
     def no_row_parser(handle, path):
         raise AssertionError("a written CSV went to the row parser")
 
+    def no_picked_cells(reader, header, labels, path):
+        raise AssertionError("a written CSV column went to the row parser")
+
     monkeypatch.setattr(cli, "_csv_rows", no_row_parser)
+    monkeypatch.setattr(cli, "_picked_cells", no_picked_cells)
     records = read_records(out)
     assert len(records) == count
     for obj in (records[0], records[0].rho, records[0].rho.spectrum):
         assert not hasattr(obj, "__dict__"), type(obj)
+    for label in records[0].observables:
+        assert same_bits(read_column(out, label), np.array([r.observables[label] for r in records]))
 
 
 @pytest.mark.parametrize("index", ["1.5", "true", '"7"', "null"])
@@ -861,6 +938,28 @@ def test_record_files_are_recognised_by_content(tmp_path, fmt, name):
     assert_records_identical(read_records(wrong), read_records(right))
     assert same_bits(read_column(wrong, "rho_22"), read_column(right, "rho_22"))
     assert main(["compare", str(wrong), str(right), "--column", "rho_22"]) == 0
+
+
+def _quote_first_method(lines):
+    lines[1] = lines[1].replace(b"haar", b'"haar"', 1)
+
+
+@pytest.mark.parametrize(
+    "fmt, edit",
+    [("csv", None), ("jsonl", None), ("csv", _quote_first_method)],
+    ids=["csv", "jsonl", "csv-row-parser"],
+)
+def test_readers_skip_a_byte_order_mark(tmp_path, fmt, edit):
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), 300, 7), plain, fmt)
+    lines = plain.read_bytes().splitlines(keepends=True)
+    if edit is not None:  # a quoted cell: both CSV readers take the row parser, from the start again
+        edit(lines)
+        assert lines[1].startswith(b'"haar"')
+    marked.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+    assert_records_identical(read_records(marked), read_records(plain))
+    for label in ("rho_11", "rho_22", "rho_33"):
+        assert same_bits(read_column(marked, label), read_column(plain, label))
 
 
 def test_read_records_and_read_column_reject_malformed_jsonl(tmp_path):
