@@ -178,31 +178,21 @@ def write_records(batch: StateBatch, path, fmt: str) -> None:
         raise UsageError(f"unknown format {fmt!r}")
 
 
-#: Most records read_records eigendecomposes and checks as one block. Below it
-#: the sampler's byte budget sets the block (``block_records``); the cap keeps
-#: a block's temporaries small next to the records it returns.
-READ_BLOCK_CAP = 256
-
-
 def read_records(path) -> list:
     """Load a CSV or JSONL record file back into SampleRecord objects.
 
-    The file becomes arrays a block at a time, each checked by
-    ``_checked_block``, which names the first failing record; the records
-    equal those the per-record constructors build, bit for bit. A malformed
-    file raises UsageError naming the file, and the line where it is known.
+    The file becomes arrays a block of ``block_records(N)`` records at a
+    time, as the sampler makes them, each checked by ``_checked_block``, which
+    names the first failing record; the records equal those the per-record
+    constructors build, bit for bit. A malformed file raises UsageError naming
+    the file, and the line where it is known.
     """
     records = []
-    with _record_file(path) as (handle, jsonl):
-        blocks = _row_blocks(_jsonl_rows(handle, path)) if jsonl else _csv_blocks(handle, path)
+    with _record_file(path) as (handle, jsonl, plain):
+        blocks = _row_blocks(_jsonl_rows(handle, path)) if jsonl else _csv_blocks(handle, plain, path)
         for methods, indices, numbers in blocks:
             records += _checked_block(methods, indices, numbers, len(records))
     return records
-
-
-def _read_step(n: int) -> int:
-    """Records per checked block at N levels."""
-    return min(READ_BLOCK_CAP, block_records(n))
 
 
 def _levels(width: int) -> int:
@@ -246,51 +236,42 @@ def _row_blocks(rows):
     buffer = None
     for first in rows:
         if buffer is None:
-            buffer = np.empty((_read_step(_levels(len(first[2]))), len(first[2])))
+            buffer = np.empty((block_records(_levels(len(first[2]))), len(first[2])))
         methods, indices, numbers = zip(first, *itertools.islice(rows, len(buffer) - 1))
         buffer[: len(numbers)] = numbers
         del numbers  # the parsed rows go before the block is checked
         yield list(methods), list(indices), buffer[: len(methods)]
 
 
-def _plain_lines(handle):
-    """The lines of ``handle``, raising ValueError at one csv would not read as its text split at commas.
-
-    That is a line with a quote character (csv's quoting) or a field over
-    ``csv.field_size_limit()`` (csv's error), and one with a NUL, which numpy
-    cuts off the end of a string cell.
-    """
-    limit = csv.field_size_limit()
-    for line in handle:
-        overlong = len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit
-        if '"' in line or "\0" in line or overlong:
-            raise ValueError("not a plain CSV line")
-        yield line
-
-
 def _c_pass(handle, dtype, columns):
-    """The rest of a CSV ``handle`` as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
+    """The rest of a plain CSV ``handle`` as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
 
-    A line ``_plain_lines`` refuses, a cell ``dtype`` does not take or a warning fails the pass.
+    A cell ``dtype`` does not take or a warning fails the pass.
     """
     try:
         with warnings.catch_warnings():
             # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
             warnings.simplefilter("error")
-            return np.loadtxt(_plain_lines(handle), dtype=dtype, delimiter=",", comments=None, usecols=columns, ndmin=1)
+            return np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, usecols=columns, ndmin=1)
     except (ValueError, Warning):
         return None  # the caller's row parser then raises, with no loadtxt context
 
 
-def _csv_blocks(handle, path):
+def _past_header(handle) -> None:
+    """Put a plain CSV ``handle`` back where its csv reader stood before a C pass read on."""
+    handle.seek(0)
+    next(handle)  # with no quote in the file the header is one line, so the reader's line count holds
+
+
+def _csv_blocks(handle, plain: bool, path):
     """(methods, indices, numbers array) per block of a CSV record file.
 
-    The data rows are parsed in one C pass (``np.loadtxt`` over
-    ``_plain_lines``), whose numbers and integers are Python's ``float`` and
-    ``int`` of the texts it accepts. A method cell longer than any method
-    stays unknown, however ``loadtxt`` cuts it. A file the pass does not take
-    cleanly goes to ``_csv_rows``, read from the start, which yields the same
-    records or raises naming the line.
+    The data rows of a plain file are parsed in one C pass (``_c_pass``),
+    whose numbers and integers are Python's ``float`` and ``int`` of the
+    texts it accepts. A method cell longer than any method stays unknown,
+    however ``loadtxt`` cuts it. Any other file, or one the pass does not
+    take cleanly, goes to ``_csv_rows``, which yields the same records or
+    raises naming the line.
     """
     reader = csv.reader(handle)
     with _csv_errors(reader, path):
@@ -298,18 +279,18 @@ def _csv_blocks(handle, path):
     if header is None:
         return
     n = _header_levels(header, path)
-    labels = _csv_header(n)
-    columns = _label_columns(header, labels, path)
+    columns = _label_columns(header, _csv_header(n), path)
     width = max(map(len, METHODS)) + 1
-    dtype = np.dtype([("method", f"U{width}"), ("index", np.int64), ("numbers", np.float64, (len(labels) - 2,))])
-    table = _c_pass(handle, dtype, columns)
+    dtype = np.dtype([("method", f"U{width}"), ("index", np.int64), ("numbers", np.float64, (len(columns) - 2,))])
+    table = _c_pass(handle, dtype, columns) if plain else None
     if table is None:
-        handle.seek(0)
-        yield from _row_blocks(_csv_rows(handle, path))
+        if plain:
+            _past_header(handle)
+        yield from _row_blocks(_csv_rows(reader, header, columns, path))
         return
     # a known method cell becomes the METHODS string itself, which the records then share
     method_text = {method: method for method in METHODS}.get
-    step = _read_step(n)
+    step = block_records(n)
     for start in range(0, len(table), step):
         block = table[start : start + step]
         methods = block["method"].tolist()
@@ -318,11 +299,7 @@ def _csv_blocks(handle, path):
 
 @contextlib.contextmanager
 def _csv_errors(reader, path):
-    """Raise a row ``reader`` cannot parse as UsageError naming the file and line.
-
-    The csv module raises csv.Error for one, such as a field longer than
-    ``csv.field_size_limit()``.
-    """
+    """Raise a csv.Error of ``reader`` (a field over the size limit, say) as UsageError naming the line."""
     try:
         yield
     except csv.Error as exc:
@@ -340,21 +317,15 @@ def _header_levels(header: list, path) -> int:
     return n
 
 
-def _csv_rows(handle, path):
-    """(method, index, numbers) per row of a CSV record file: Re rho, Im rho (row-major), rho_jj."""
-    reader = csv.reader(handle)
-    with _csv_errors(reader, path):
-        header = next(reader, None)
-        if header is None:
-            return
-        labels = _csv_header(_header_levels(header, path))
-        for line, (method, index, *cells) in _picked_cells(reader, header, labels, path):
-            try:
-                numbers = list(map(float, cells))
-                index = int(index)
-            except ValueError as exc:
-                raise UsageError(f"{path}, line {line}: {exc}") from exc
-            yield method, index, numbers
+def _csv_rows(reader, header: list, columns: list, path):
+    """(method, index, numbers) per data row of a CSV ``reader`` past ``header``, read from ``columns``."""
+    for line, (method, index, *cells) in _picked_cells(reader, header, columns, path):
+        try:
+            numbers = list(map(float, cells))
+            index = int(index)
+        except ValueError as exc:
+            raise UsageError(f"{path}, line {line}: {exc}") from exc
+        yield method, index, numbers
 
 
 def _label_columns(header: list, labels: list, path) -> list:
@@ -368,29 +339,32 @@ def _label_columns(header: list, labels: list, path) -> list:
     return [columns[label] for label in labels]
 
 
-def _picked_cells(reader, header: list, labels: list, path):
-    """(line number, cells under ``labels``) per data row of a CSV reader past ``header``.
+def _picked_cells(reader, header: list, columns: list, path):
+    """(line number, cells in ``columns``) per data row of a CSV reader past ``header``.
 
-    Labels are resolved to column indices once, from the header, so column
-    order is free. One label gives the bare cell, several a tuple.
+    ``columns`` come from ``_label_columns``, so column order is free. One
+    column gives the bare cell, several a tuple. A row csv cannot parse, or
+    one short of a column, raises UsageError naming the line.
     """
-    pick = operator.itemgetter(*_label_columns(header, labels, path))
-    for row in reader:
-        if not row:
-            continue
-        try:
-            cells = pick(row)
-        except IndexError as exc:
-            raise UsageError(
-                f"{path}, line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
-            ) from exc
-        yield reader.line_num, cells
+    pick = operator.itemgetter(*columns)
+    with _csv_errors(reader, path):
+        for row in reader:
+            if not row:
+                continue
+            try:
+                cells = pick(row)
+            except IndexError as exc:
+                raise UsageError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                ) from exc
+            yield reader.line_num, cells
 
 
 #: Decodes a JSONL line for read_column: the C scanner still parses all of it,
-#: but leaves every non-integer number as the text it sliced out, so only the
-#: one compared cell is converted (float() on that text, as json.loads does).
-_decode_deferred = json.JSONDecoder(parse_float=str).decode
+#: but leaves every non-integer number as the text it sliced out, as bytes, so
+#: only the one compared cell is converted (float() on that text, as
+#: json.loads does) and a JSON string, left a str, is told from a number.
+_decode_deferred = json.JSONDecoder(parse_float=str.encode).decode
 
 
 def _jsonl_objects(handle, path, decode=json.loads):
@@ -456,20 +430,31 @@ def _jsonl_rows(handle, path):
 
 @contextlib.contextmanager
 def _record_file(path):
-    """(open handle, whether it is JSONL) of a record file.
+    """(open handle, whether it is JSONL, whether it is a plain CSV) of a record file.
 
     The format is told by content, not name: JSONL if the first non-blank
     character is "{". A leading byte-order mark is skipped. Text that is not
-    UTF-8 raises UsageError naming the file.
+    UTF-8 raises UsageError naming the file. A CSV is read through first, in
+    chunks of half ``csv.field_size_limit()`` characters, at most 65,536. It
+    is plain, fit for the C pass, when no chunk holds a quote (csv's quoting)
+    or a NUL (numpy cuts it off a string cell) and every full chunk holds a
+    comma or a line break: a field csv refuses as too long spans a full chunk.
     """
+    size = max(1, min(csv.field_size_limit() // 2, 65536))
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            chunks = iter(lambda: handle.read(4096), "")
-            jsonl = next(filter(None, map(str.lstrip, chunks)), "").startswith("{")
+            chunks = iter(lambda: handle.read(size), "")
+            head = next(filter(str.strip, chunks), "")
+            jsonl = head.lstrip().startswith("{")
+            # the blank chunks skipped come before the header, which csv reads itself
+            plain = not jsonl and all(
+                '"' not in chunk and "\0" not in chunk and ("," in chunk or "\n" in chunk or len(chunk) < size)
+                for chunk in itertools.chain((head,), chunks)
+            )
         # csv needs newline=""; JSONL lines of N=100 records split about 2x
         # faster with universal newlines
         with open(path, encoding="utf-8-sig", newline=None if jsonl else "") as handle:
-            yield handle, jsonl
+            yield handle, jsonl, plain
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -481,11 +466,12 @@ _OBSERVABLE_LABEL = re.compile(r"rho_([1-9][0-9]*)\1")
 def read_column(path, column: str) -> np.ndarray:
     """Extract one rho_jj observable column without validating whole records.
 
-    A CSV column takes ``_c_pass``, or the row parser where that fails or reads a non-finite value.
+    A plain CSV's column takes ``_c_pass``; the row parser reads any other
+    CSV, and one whose pass fails or reads a non-finite value.
     """
     if not _OBSERVABLE_LABEL.fullmatch(column):
         raise UsageError(f"column {column!r} is not a rho_jj observable")
-    with _record_file(path) as (handle, jsonl):
+    with _record_file(path) as (handle, jsonl, plain):
         if jsonl:
             objects = _jsonl_objects(handle, path, _decode_deferred)
             cells = [_observable(payload, column, path) for _, payload in objects]
@@ -493,14 +479,15 @@ def read_column(path, column: str) -> np.ndarray:
             reader = csv.reader(handle)
             with _csv_errors(reader, path):
                 header = next(reader, None)
-            values = None if header is None else _c_pass(handle, float, _label_columns(header, [column], path))
-            if values is not None and np.isfinite(values).all():
-                return values
-            handle.seek(0)
-            reader = csv.reader(handle)
-            with _csv_errors(reader, path):
-                rows = [] if next(reader, None) is None else _picked_cells(reader, header, [column], path)
-                cells = [cell for _, cell in rows]
+            cells = []
+            if header is not None:
+                columns = _label_columns(header, [column], path)
+                values = _c_pass(handle, float, columns) if plain else None
+                if values is not None and np.isfinite(values).all():
+                    return values
+                if plain:
+                    _past_header(handle)
+                cells = [cell for _, cell in _picked_cells(reader, header, columns, path)]
     if not cells:
         raise UsageError(f"no data rows in {path}")
     return np.array([_cell_value(cell, column, path) for cell in cells])
@@ -508,12 +495,16 @@ def read_column(path, column: str) -> np.ndarray:
 
 def _observable(payload: dict, column: str, path):
     try:
-        return payload["observables"][column]
+        cell = payload["observables"][column]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"column {column!r} not present in {path}") from exc
+    if isinstance(cell, str):  # a JSON string, such as "0.25", is no sample
+        raise UsageError(f"non-numeric value {cell!r} in column {column!r} of {path}")
+    return cell
 
 
 def _cell_value(cell, column: str, path) -> float:
+    """The float of a CSV cell's text or of a JSONL cell, whose non-integer number arrives as its text in bytes."""
     try:
         if isinstance(cell, bool):  # float(True) is 1.0, but a JSON true is no sample
             raise TypeError
@@ -521,7 +512,8 @@ def _cell_value(cell, column: str, path) -> float:
     except (TypeError, ValueError, OverflowError) as exc:  # a JSON integer may overflow a float
         raise UsageError(f"non-numeric value {cell!r} in column {column!r} of {path}") from exc
     if not math.isfinite(value):
-        raise UsageError(f"non-finite value {cell!r} in column {column!r} of {path}")
+        text = cell.decode() if isinstance(cell, bytes) else cell
+        raise UsageError(f"non-finite value {text!r} in column {column!r} of {path}")
     return value
 
 

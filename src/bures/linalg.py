@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import ConvergenceError, NotHermitianError, ShapeError, SingularMatrixError
 
-#: Dense complex matrix carrier. Functions below coerce their inputs through
-#: ``as_complex_matrix`` so the alias's invariants (2-D, finite) hold on entry.
-ComplexMatrix = np.ndarray
-
 #: Relative Frobenius tolerance for accepting a matrix as Hermitian.
 HERMITICITY_RTOL = 1e-10
 
@@ -27,10 +23,10 @@ class EigenDecomposition(NamedTuple):
     """Hermitian eigensystem: ascending eigenvalues, matching unit eigenvector columns."""
 
     eigenvalues: np.ndarray
-    eigenvectors: ComplexMatrix
+    eigenvectors: np.ndarray
 
 
-def as_complex_matrix(a) -> ComplexMatrix:
+def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -40,7 +36,7 @@ def as_complex_matrix(a) -> ComplexMatrix:
     return arr
 
 
-def matmul(a, b) -> ComplexMatrix:
+def matmul(a, b) -> np.ndarray:
     """Matrix product a @ b with conformability checking."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
@@ -49,7 +45,7 @@ def matmul(a, b) -> ComplexMatrix:
     return a @ b
 
 
-def qr_decompose(a) -> tuple[ComplexMatrix, ComplexMatrix]:
+def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Householder QR of a square matrix.
 
     Returns ``(q, r)`` with ``q`` unitary and ``r`` upper triangular. Raises

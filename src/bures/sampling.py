@@ -303,8 +303,9 @@ def _bulk_chart_rows(seed: int, layers: list, start: int, coords: np.ndarray, sc
 
     Each layer takes dim normal words, then one uniform word. Returns the
     rows it could not draw: those with a normal off the ziggurat fast path or
-    a layer whose norm would be redrawn. The norm is ndarray.dot of each row,
-    as on the per-record path: summed another way it differs in the last bit.
+    a layer whose norm would be redrawn. Each squared norm, a stacked matmul
+    of the row with itself, must equal the per-record path's ndarray.dot bit
+    for bit (the tests compare them); summed another way it differs.
     """
     words = _bulk_words(seed, start, start + len(coords), coords.shape[1] + len(layers))
     done = np.ones(len(coords), dtype=bool)
@@ -313,7 +314,7 @@ def _bulk_chart_rows(seed: int, layers: list, start: int, coords: np.ndarray, sc
         direction, fast = normals(words[:, pos : pos + dim])
         u = uniforms(words[:, pos + dim]).tolist()
         pos += dim + 1
-        norm = np.sqrt(np.fromiter(map(np.ndarray.dot, direction, direction), float, len(direction)))
+        norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
         done &= fast.all(axis=1) & (norm >= 1e-300)
         coords[:, lo : lo + dim] = direction
         # Python's float power, as the per-record path takes it
@@ -352,11 +353,6 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
             scales[row, layer] = rng.uniform() ** (1.0 / dim) / norm
     coords *= np.repeat(scales, dims, axis=1)
     return coords
-
-
-def sample_chart_coords(spectrum: Spectrum, seed: int, count: int) -> np.ndarray:
-    """(count, sum of ladder dims) chart coordinates, row i from stream (seed, i)."""
-    return _draw_charts(RngStream(seed), coset_ladder(spectrum), 0, count)
 
 
 def _coset_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray:

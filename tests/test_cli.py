@@ -426,6 +426,11 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         # a second rho_11 column would otherwise be read in place of the first
         (_write_text("dup.csv", "method,index,rho_11,rho_11\ncoset,0,0.5,0.25\ncoset,1,0.5,0.25\n"),
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "column 'rho_11' present 2 times in"),
+        # a JSON string is no sample, however float() would read its text
+        (_write_text("str.jsonl", '{"observables": {"rho_11": 0.5}}\n{"observables": {"rho_11": "0.25"}}\n'),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-numeric value '0.25'"),
+        (_write_text("str.jsonl", '{"observables": {"rho_11": 0.5}}\n{"observables": {"rho_11": " 1_0e-1 "}}\n'),
+         ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-numeric value ' 1_0e-1 '"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
@@ -436,7 +441,7 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "check-jacobian-n-1e18", "check-euler-nodes-1e18", "compare-non-utf8-csv", "compare-non-utf8-jsonl",
         "compare-deep-jsonl", "compare-overlong-csv-field", "compare-jsonl-int-5000-digits",
         "compare-index-csv", "compare-re-1-2-csv", "compare-index-jsonl", "compare-re-1-2-jsonl",
-        "compare-duplicate-rho-11-csv",
+        "compare-duplicate-rho-11-csv", "compare-string-jsonl", "compare-string-1_0e-1-jsonl",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -551,12 +556,13 @@ def assert_records_identical(got, want):
 @pytest.mark.parametrize(
     "method, values, count",
     [
-        # 600 N=3 records span three parse blocks
+        # N=3 takes 1,820 records per parse block: 600 fit one, 2,000 span two
         ("coset", [0.5, 0.375, 0.125], 600),
         ("haar", [0.5, 0.375, 0.125], 600),
         # N=10 with a 3-fold zero block: 163 records per parse block
         ("coset", [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400),
         ("haar", [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400),
+        ("coset", [0.5, 0.375, 0.125], 2000),
     ],
 )
 def test_read_records_matches_the_per_record_path(tmp_path, fmt, method, values, count):
@@ -741,19 +747,27 @@ def _columns_around_numbers(labels, cells):
         (_columns_around_numbers(("note", "pad", "tail"), ('"a,b"', "0.5", "0.5")), None),
         # an unused field over csv.field_size_limit()
         (_line(2, lambda line: line + "," + "1" * 200_000), (UsageError, "line 3: field larger than field limit")),
+        # a long unused field within the limit: the C pass may take it, and reads it as csv does
+        (_line(2, lambda line: line + "," + "1" * 100_000), None),
+        # one character over the limit, from early in the first chunk across the next two chunk boundaries
+        (_line(2, lambda line: line + "," + "1" * (csv.field_size_limit() + 1)),
+         (UsageError, "line 3: field larger than field limit")),
+        (lambda lines: "\n".join(lines), None),
+        (lambda lines: "".join(line + "\r" for line in lines), None),
     ],
     ids=[
         "quoted-method", "quoted-number", "crlf", "whitespace-line", "comment-line", "extra-trailing-field",
         "index-1_000", "index-2**70", "index-space-7", "float-0.0_1", "tab-before-number", "method-trailing-space",
         "method-leading-space", "method-cosetcoset", "method-empty", "method-trailing-nul",
         "quoted-comma-unused-column",
-        "overlong-extra-field",
+        "overlong-extra-field", "long-extra-field", "field-limit-plus-1-across-chunks", "no-final-newline",
+        "cr-line-ends",
     ],
 )
 def test_csv_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, outcome):
     out = quirk_file(tmp_path, edit)
     got, got_column = outcome_of(read_records, out), outcome_of(read_rho_33, out)
-    monkeypatch.setattr(cli, "_plain_lines", not_plain)  # every CSV now goes to the row parser
+    monkeypatch.setattr(cli, "_c_pass", no_c_pass)  # every CSV now goes to the row parser
     want, want_column = outcome_of(read_records, out), outcome_of(read_rho_33, out)
     if outcome is None:
         assert_records_identical(got, want)
@@ -766,12 +780,15 @@ def test_csv_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, outcome):
 
 
 def quirk_file(tmp_path, edit):
-    """A 4-record N=3 CSV whose text lines (header first) went through ``edit``."""
+    """A 4-record N=3 CSV whose text lines (header first) went through ``edit``.
+
+    The lines are written back each ending in a newline, unless ``edit`` returns the file's text itself.
+    """
     out = tmp_path / "quirk.csv"
     write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 4, 3), out, "csv")
     lines = out.read_text().splitlines()
-    edit(lines)
-    out.write_bytes(("\n".join(lines) + "\n").encode())
+    text = edit(lines)
+    out.write_bytes((("\n".join(lines) + "\n") if text is None else text).encode())
     return out
 
 
@@ -786,8 +803,8 @@ def read_rho_33(path):
     return read_column(path, "rho_33")
 
 
-def not_plain(handle):
-    raise ValueError("not a plain CSV line")
+def no_c_pass(handle, dtype, columns):
+    return None
 
 
 def assert_same_column_outcome(got, want):
@@ -824,7 +841,7 @@ def _last_column_first(lines):
 def test_read_column_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, message):
     out = quirk_file(tmp_path, edit)
     got = outcome_of(read_rho_33, out)
-    monkeypatch.setattr(cli, "_plain_lines", not_plain)
+    monkeypatch.setattr(cli, "_c_pass", no_c_pass)
     want = outcome_of(read_rho_33, out)
     assert_same_column_outcome(got, want)
     if message is None:
@@ -835,17 +852,18 @@ def test_read_column_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, me
 
 @pytest.mark.parametrize(
     "values, count",
-    [([0.5, 0.375, 0.125], 600), ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400)],
+    # 1,820 N=3 or 163 N=10 records per parse block
+    [([0.5, 0.375, 0.125], 3700), ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400)],
     ids=["n3-three-blocks", "n10-zero-block"],
 )
 def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count):
     out = tmp_path / "written.csv"
     write_records(batch_sample("haar", Spectrum(values), count, 9), out, "csv")
 
-    def no_row_parser(handle, path):
+    def no_row_parser(reader, header, columns, path):
         raise AssertionError("a written CSV went to the row parser")
 
-    def no_picked_cells(reader, header, labels, path):
+    def no_picked_cells(reader, header, columns, path):
         raise AssertionError("a written CSV column went to the row parser")
 
     monkeypatch.setattr(cli, "_csv_rows", no_row_parser)

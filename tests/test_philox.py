@@ -17,10 +17,10 @@ from bures.philox import normals, philox_words, uniforms
 from bures.sampling import (
     BULK_MAX_NORMALS,
     RngStream,
+    _draw_charts,
     batch_sample,
     coset_ladder,
     sample_ball,
-    sample_chart_coords,
     sample_flag_chart,
 )
 
@@ -192,7 +192,7 @@ def test_bulk_chart_coords_match_scalar_draws_with_fallbacks(values, seed):
     spectrum = Spectrum(values)
     dims = coset_ladder(spectrum)
     count = 2000
-    coords = sample_chart_coords(spectrum, seed, count)
+    coords = _draw_charts(RngStream(seed), dims, 0, count)
     _, fast = normals(philox_words(seed, 0, count, 8))
     normal_columns = np.concatenate([np.arange(lo, lo + dim) + layer for layer, (lo, dim) in
                                      enumerate(zip(np.cumsum((0,) + dims[:-1]), dims))])
@@ -201,6 +201,16 @@ def test_bulk_chart_coords_match_scalar_draws_with_fallbacks(values, seed):
     for i, row in enumerate(coords):
         chart = sample_flag_chart(spectrum, RngStream(seed, i))
         assert np.array_equal(row, np.concatenate([layer.coords for layer in chart.layers]))
+
+
+@pytest.mark.parametrize("dim", range(2, BULK_MAX_NORMALS + 1))
+def test_stacked_layer_norms_equal_ndarray_dot(dim):
+    # _bulk_chart_rows squares a layer's norm by one stacked matmul; the per-record path takes ndarray.dot
+    words = np.random.default_rng(dim).integers(0, 2**64, size=(100_000, dim), dtype=np.uint64)
+    direction = normals(words)[0]
+    stacked = np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0]
+    per_row = np.fromiter(map(np.ndarray.dot, direction, direction), float, len(direction))
+    assert stacked.dtype == per_row.dtype and stacked.tobytes() == per_row.tobytes()
 
 
 @pytest.mark.parametrize("n_levels", [2, 3])

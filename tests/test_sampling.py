@@ -9,12 +9,12 @@ from bures.sampling import (
     BLOCK_BYTES,
     RngStream,
     StateBatch,
+    _draw_charts,
     batch_sample,
     coset_ladder,
     sample_ball,
     sample_flag_chart,
     sample_haar_unitary,
-    sample_chart_coords,
     sample_interior_point,
     sample_state_coset,
     sample_state_haar,
@@ -294,7 +294,7 @@ def test_batch_chart_coords_match_scalar_draws(n_levels, zero_block):
     values = np.zeros(n_levels)
     values[: n_levels - zero_block] = np.arange(n_levels - zero_block, 0, -1)
     spectrum = Spectrum(values / values.sum())
-    coords = sample_chart_coords(spectrum, 17, 40)
+    coords = _draw_charts(RngStream(17), coset_ladder(spectrum), 0, 40)
     # every layer of every row is a finite point of its ball
     r2 = np.add.reduceat(coords * coords, np.cumsum((0,) + coset_ladder(spectrum)[:-1]), axis=1)
     assert np.isfinite(coords).all() and (r2 <= 1.0 + BALL_EDGE_TOL).all()
