@@ -148,39 +148,27 @@ def _prechecked(cls, **columns) -> list:
 
 
 def state_checks(matrices: np.ndarray, values: np.ndarray, basis: np.ndarray, recon=None) -> list:
-    """``DensityMatrix``'s contract for a (count, N, N) stack of states, vectorized.
+    """``DensityMatrix``'s eigensystem rows for a (count, N, N) stack of states, vectorized.
 
     ``values`` holds the descending eigenvalues, shared (N,) or per state
     (count, N), and ``basis`` the matching eigenvector columns; ``recon``,
     if the caller has it, is (basis * values) basis†. Returns (failing rows,
-    error class, message) triples in the order ``DensityMatrix.__post_init__``
-    checks, against the same tolerances, for ``raise_first_failure``.
+    error class, message) triples for the trace, the unitarity of the basis
+    and the reconstruction, in the order ``DensityMatrix.__post_init__``
+    checks them, against the same tolerances, for ``raise_first_failure``.
+    These are the residuals a sampler's arithmetic can get wrong; finiteness
+    and Hermiticity are checked once by each caller (``density_matrices``,
+    ``StateBatch``).
     """
     n = matrices.shape[-1]
     basis_h = basis.conj().transpose(0, 2, 1)
+    # before recon exists, so that the two rows' temporaries are never live together
+    unitary = np.linalg.norm(basis_h @ basis - np.eye(n), axis=(1, 2)) > STATE_RECON_TOL
     if recon is None:
         recon = (basis * values[..., None, :]) @ basis_h
     return [
-        (
-            ~(np.isfinite(matrices).all(axis=(1, 2)) & np.isfinite(basis).all(axis=(1, 2))),
-            ShapeError,
-            "matrix entries must be finite",
-        ),
-        (
-            np.linalg.norm(matrices - matrices.conj().transpose(0, 2, 1), axis=(1, 2)) > STATE_HERM_TOL,
-            NotHermitianError,
-            "density matrix is not Hermitian to tolerance",
-        ),
-        (
-            np.abs(np.trace(matrices, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL,
-            InvalidStateError,
-            "trace is not 1",
-        ),
-        (
-            np.linalg.norm(basis_h @ basis - np.eye(n), axis=(1, 2)) > STATE_RECON_TOL,
-            InvalidStateError,
-            "eigenbasis is not unitary to tolerance",
-        ),
+        (np.abs(np.trace(matrices, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL, InvalidStateError, "trace is not 1"),
+        (unitary, InvalidStateError, "eigenbasis is not unitary to tolerance"),
         (
             np.linalg.norm(recon - matrices, axis=(1, 2)) > STATE_RECON_TOL,
             InvalidStateError,
@@ -211,32 +199,42 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
     ``hermitian_eig``, ``Spectrum`` and ``DensityMatrix`` run vectorized
     against the same tolerances, followed by the caller's ``after`` triples
     (see ``raise_first_failure``); the first failing record is named, counting
-    from ``start``.
+    from ``start``. The stack gets one finiteness mask, and one norm of
+    h - h† serves both Hermiticity tolerances: ``hermitian_eig``'s relative
+    one and ``DensityMatrix``'s absolute one.
     """
     finite = np.isfinite(matrices).all(axis=(1, 2))
     # non-finite rows fail the first check; zeros keep them out of LAPACK
-    h = np.where(finite[:, None, None], matrices, 0.0)
-    dag = h.conj().transpose(0, 2, 1)
+    h = matrices if finite.all() else np.where(finite[:, None, None], matrices, 0.0)
+    # h† becomes the eigh input (h + h†)/2 in place, the block's one temporary stack
+    sym = h.conj().transpose(0, 2, 1)
+    skew = np.linalg.norm(h - sym, axis=(1, 2))
+    sym += h
+    sym /= 2
     try:
-        w, v = np.linalg.eigh((h + dag) / 2)
+        w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"records {start}-{start + len(h) - 1}: eigenvalue iteration failed to converge"
         ) from exc
+    del sym
     w = np.ascontiguousarray(w[:, ::-1])
+    basis = v[:, :, ::-1]
     checks = [
         (~finite, ShapeError, "matrix entries must be finite"),
         (
-            np.linalg.norm(h - dag, axis=(1, 2)) > HERMITICITY_RTOL * np.linalg.norm(h, axis=(1, 2)),
+            skew > HERMITICITY_RTOL * np.linalg.norm(h, axis=(1, 2)),
             NotHermitianError,
             "matrix is not Hermitian to working tolerance",
         ),
         (~np.isfinite(w).all(axis=1), ShapeError, "eigenvalues must be finite"),
         ((w < NEGATIVE_EIGENVALUE_TOL).any(axis=1), InvalidStateError, "negative eigenvalue"),
         (np.abs(w.sum(axis=1) - 1.0) > SPECTRUM_SUM_TOL, InvalidStateError, "eigenvalues do not sum to 1"),
+        # DensityMatrix's own rows before its eigensystem rows
+        (~np.isfinite(basis).all(axis=(1, 2)), ShapeError, "matrix entries must be finite"),
+        (skew > STATE_HERM_TOL, NotHermitianError, "density matrix is not Hermitian to tolerance"),
     ]
     values = np.sort(np.clip(w, 0.0, None), axis=1)[:, ::-1].copy()
-    basis = v[:, :, ::-1]
     raise_first_failure(checks + state_checks(h, values, basis) + list(after), start)
     return _prechecked(DensityMatrix, matrix=matrices, spectrum=_prechecked(Spectrum, values=values), basis=basis)
 
@@ -255,7 +253,7 @@ def _log_flag_volume(n_levels: int, pair_angle: float) -> float:
     stay normal doubles up to N=36.
     """
     if n_levels < 2:
-        raise ValueError("flag volumes need at least 2 levels")
+        raise ShapeError("flag volumes need at least 2 levels")
     log_gammas = math.fsum(math.lgamma(j) for j in range(1, n_levels + 1))
     return n_levels * (n_levels - 1) / 2.0 * math.log(pair_angle) - log_gammas
 
@@ -295,7 +293,7 @@ def eigenvalue_density(spectrum: Spectrum) -> float:
     vals = spectrum.values
     n = vals.size
     if n < 2:
-        raise ValueError("eigenvalue density needs at least 2 levels")
+        raise ShapeError("eigenvalue density needs at least 2 levels")
     if np.any(vals <= 0.0):
         raise DegenerateSpectrumError("zero eigenvalue makes the density singular")
     prod = 1.0

@@ -221,8 +221,10 @@ class StateBatch:
     """Sampled states as one stack; record i was drawn from stream (seed, i).
 
     ``matrices`` has shape (count, N, N) and holds finite states equal to
-    their conjugate transposes bit for bit, checked at construction block by
-    block. ``diagonals`` (count, N), the rho_jj observables, are derived from
+    their conjugate transposes bit for bit. Construction checks both, block
+    by block, and names the first failing record with the first check it
+    fails; for a sampled stack this is the only finiteness and Hermiticity
+    check. ``diagonals`` (count, N), the rho_jj observables, are derived from
     them.
     """
 
@@ -241,13 +243,12 @@ class StateBatch:
         # block by block: a whole-stack conjugate transpose would raise peak memory
         for start, stop in _blocks(count, n):
             block = self.matrices[start:stop]
-            finite = np.isfinite(block).all(axis=(1, 2))
-            if not finite.all():
-                raise ShapeError(f"record {start + int(np.argmin(finite))}: matrix entries must be finite")
             hermitian = (block == block.conj().transpose(0, 2, 1)).all(axis=(1, 2))
-            if not hermitian.all():
-                row = start + int(np.argmin(hermitian))
-                raise NotHermitianError(f"record {row}: state differs from its conjugate transpose")
+            checks = [
+                (~np.isfinite(block).all(axis=(1, 2)), ShapeError, "matrix entries must be finite"),
+                (~hermitian, NotHermitianError, "state differs from its conjugate transpose"),
+            ]
+            raise_first_failure(checks, start)
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -418,12 +419,14 @@ def _haar_unitaries(rng: RngStream, n_levels: int, start: int, stop: int) -> np.
 
 
 def _store_states(spectrum: Spectrum, unitaries: np.ndarray, out: np.ndarray, start: int) -> None:
-    """Write the states of ``unitaries`` into ``out``, enforcing DensityMatrix's contract.
+    """Write the states of ``unitaries`` into ``out``, checking their eigensystem residuals.
 
     Mirrors ``_state_from_unitary``: the basis is the unitary with its columns
     reversed, raw = (basis * values) basis†, and the stored state is
-    (raw + raw†)/2. The block is checked by ``state_checks``, which names the
-    first failing record.
+    (raw + raw†)/2, Hermitian bit for bit. ``state_checks`` tests the trace,
+    the unitarity of the basis and the reconstruction, naming the first
+    failing record; finiteness and exact Hermiticity are left to the
+    ``StateBatch`` that ``batch_sample`` builds from the whole stack.
     """
     basis = unitaries[:, :, ::-1]
     raw = (basis * spectrum.values) @ basis.conj().transpose(0, 2, 1)
@@ -440,7 +443,7 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
     first k records equal a count-k batch bit for bit.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ShapeError("count must be at least 1")
     if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
     n = spectrum.n_levels

@@ -398,6 +398,9 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         (None, ["check-jacobian", "--points", "1", "--seed", "-1"], 2, "outside [0, 2^64)"),
         (_output("x.csv"), _sample_argv("1", "1"), 2, "at least 2 levels"),
         (_output("x.csv"), _sample_argv("1", "1", method="haar"), 2, "at least 2 levels"),
+        # checked by batch_sample and flag_volume, not again by the CLI
+        (_output("x.csv"), _sample_argv(SPEC3, "0"), 2, "count must be at least 1"),
+        (None, ["volume", "-n", "1"], 2, "at least 2 levels"),
         # sizes whose arrays numpy refuses before taking any memory
         (None, ["check-jacobian", "-n", str(10**18), "--points", "1"], 2, f"-n {10**18}"),
         (None, ["check-euler", "--nodes", str(10**18)], 2, f"cannot hold {10**18} quadrature nodes"),
@@ -438,6 +441,7 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "density-one-level", "compare-huge-int-jsonl", "sample-count-1e17", "sample-count-1e20",
         "sample-n100-count-1e13", "sample-seed-minus-1", "sample-seed-2-64", "sample-seed-2-64-minus-1",
         "check-jacobian-seed-minus-1", "sample-coset-one-level", "sample-haar-one-level",
+        "sample-count-0", "volume-n1",
         "check-jacobian-n-1e18", "check-euler-nodes-1e18", "compare-non-utf8-csv", "compare-non-utf8-jsonl",
         "compare-deep-jsonl", "compare-overlong-csv-field", "compare-jsonl-int-5000-digits",
         "compare-index-csv", "compare-re-1-2-csv", "compare-index-jsonl", "compare-re-1-2-jsonl",
@@ -528,7 +532,9 @@ def per_record_read(path):
             rows.append(dict(method=row["method"], index=row["index"], observables=obs, **entries))
     records = []
     for row in rows:
-        rho = DensityMatrix.from_matrix(np.asarray(row["re"], dtype=float) + 1j * np.asarray(row["im"], dtype=float))
+        with np.errstate(invalid="ignore"):  # 0 * inf of an infinite Im cell: from_matrix rejects the NaN
+            matrix = np.asarray(row["re"], dtype=float) + 1j * np.asarray(row["im"], dtype=float)
+        rho = DensityMatrix.from_matrix(matrix)
         record = SampleRecord(str(row["method"]), int(row["index"]), rho)
         for label, value in record.observables.items():
             if not abs(float(row["observables"][label]) - value) <= 1e-12:
@@ -641,10 +647,14 @@ def plus(by):
         # in one parse block, record 300 fails the last check and record 301 the second:
         # the error is record 300's, as building the records one by one would give
         (in_turn(edit_record_300(rho_22=plus(1e-6)), edit_record(301, re_1_2=plus(1e-3))), ValueError),
+        # infinite cells: 0 * inf in assembling the matrix and inf - inf in the rho_jj check
+        # make NaNs, which must not surface as a RuntimeWarning before the error
+        (edit_record_300(im_1_2=lambda value: math.inf, im_2_1=lambda value: -math.inf), ShapeError),
+        (edit_record_300(re_2_2=lambda value: math.inf, rho_22=lambda value: math.inf), ShapeError),
     ],
     ids=[
         "non-finite", "non-hermitian", "rho-jj-inconsistent", "rho-jj-nan", "trace-not-one", "negative-eigenvalue",
-        "first-record-wins",
+        "first-record-wins", "inf-mirror-pair", "inf-diagonal-and-rho-jj",
     ],
 )
 def test_read_records_names_the_failing_record(tmp_path, edit, error):

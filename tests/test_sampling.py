@@ -245,11 +245,11 @@ def test_batch_sample_validation(spectrum3):
         batch_sample("bogus", spectrum3, 1, 1)
 
 
-def _entry(j, k, change):
-    """Edit of a stack: entry (j, k) of record 1900 becomes change(old entry)."""
+def _entry(j, k, change, record=1900):
+    """Edit of a stack: entry (j, k) of ``record`` becomes change(old entry)."""
 
     def edit(m):
-        m[1900, j, k] = change(m[1900, j, k])
+        m[record, j, k] = change(m[record, j, k])
 
     return edit
 
@@ -273,8 +273,14 @@ def _both(*edits):
         (_entry(1, 0, lambda z: complex(np.nextafter(z.real, 1.0), z.imag)), NotHermitianError),
         (_entry(2, 1, lambda z: complex(z.real, 2 * z.imag)), NotHermitianError),
         (_entry(1, 1, lambda z: complex(z.real, 1e-300)), NotHermitianError),
+        # in one check block the first failing record wins, not the first failing check
+        (_both(_entry(2, 1, lambda z: complex(z.real, 2 * z.imag)), _entry(0, 0, lambda z: np.nan, record=1950)),
+         NotHermitianError),
     ],
-    ids=["nan", "inf-pair", "minus-inf-diagonal", "mirror-ulp-off", "mirror-im-doubled", "diagonal-im"],
+    ids=[
+        "nan", "inf-pair", "minus-inf-diagonal", "mirror-ulp-off", "mirror-im-doubled", "diagonal-im",
+        "first-record-wins",
+    ],
 )
 def test_state_batch_rejects_non_finite_or_non_hermitian_stacks(spectrum3, edit, error):
     # 2000 N=3 states: record 1900 lies in the second check block
