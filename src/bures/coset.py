@@ -136,24 +136,6 @@ def flag_unitary(chart: FlagChart) -> np.ndarray:
     return out
 
 
-def b_to_spherical(b) -> BallPoint:
-    """Map an unconstrained complex column B to ball coordinates sin(|B|) B / |B|.
-
-    This is the exponential-map radial profile: the coset unitary built from
-    the result equals exp of the antihermitian generator holding B in its
-    last column. B = 0 maps to the ball center.
-    """
-    col = np.asarray(b, dtype=complex).reshape(-1)
-    if col.size < 1:
-        raise ShapeError("need at least one complex component")
-    nrm = float(np.linalg.norm(col))
-    scaled = np.sinc(nrm / np.pi) * col
-    coords = np.empty(2 * col.size)
-    coords[0::2] = scaled.real
-    coords[1::2] = scaled.imag
-    return BallPoint(coords)
-
-
 def _jacobian_matrix(point: BallPoint, step: float) -> np.ndarray:
     """Central-difference Jacobian from ball coordinates to the invariant frame.
 

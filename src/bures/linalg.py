@@ -82,10 +82,13 @@ def hermitian_eig(h) -> EigenDecomposition:
     if h.shape[0] != h.shape[1]:
         raise ShapeError(f"eigendecomposition expects a square matrix, got {h.shape}")
     dag = h.conj().T
-    if np.linalg.norm(h - dag) > HERMITICITY_RTOL * np.linalg.norm(h):
-        raise NotHermitianError("matrix is not Hermitian to working tolerance")
+    # a huge finite entry may overflow here; the caller rejects non-finite eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.linalg.norm(h - dag) > HERMITICITY_RTOL * np.linalg.norm(h):
+            raise NotHermitianError("matrix is not Hermitian to working tolerance")
+        sym = (h + dag) / 2
     try:
-        w, v = np.linalg.eigh((h + dag) / 2)
+        w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("eigenvalue iteration failed to converge") from exc
     return EigenDecomposition(w, v)

@@ -134,47 +134,18 @@ class DensityMatrix:
 def _prechecked(cls, **columns) -> list:
     """Instances of a slotted frozen dataclass, one per row of the field ``columns``.
 
-    Skips ``__post_init__``: the caller's block check has passed every row,
-    and re-running the per-record checks would repeat it record by record,
-    which costs most of what it saves. Each field is stored through its slot
-    descriptor, which bypasses the frozen ``__setattr__`` as
-    ``object.__setattr__`` does, one C-level ``map`` per field.
+    Skips ``__post_init__``: the caller's block check has passed every row on
+    every check that can fail (see ``density_matrices``), and re-running the
+    checks record by record would cost most of what it saves. Each field is
+    stored through its slot descriptor, which bypasses the frozen
+    ``__setattr__`` as ``object.__setattr__`` does, one C-level ``map`` per
+    field.
     """
     count = len(next(iter(columns.values())))
     objs = list(map(object.__new__, itertools.repeat(cls, count)))
     for name, column in columns.items():
         list(map(getattr(cls, name).__set__, objs, column))
     return objs
-
-
-def state_checks(matrices: np.ndarray, values: np.ndarray, basis: np.ndarray, recon=None) -> list:
-    """``DensityMatrix``'s eigensystem rows for a (count, N, N) stack of states, vectorized.
-
-    ``values`` holds the descending eigenvalues, shared (N,) or per state
-    (count, N), and ``basis`` the matching eigenvector columns; ``recon``,
-    if the caller has it, is (basis * values) basis†. Returns (failing rows,
-    error class, message) triples for the trace, the unitarity of the basis
-    and the reconstruction, in the order ``DensityMatrix.__post_init__``
-    checks them, against the same tolerances, for ``raise_first_failure``.
-    These are the residuals a sampler's arithmetic can get wrong; finiteness
-    and Hermiticity are checked once by each caller (``density_matrices``,
-    ``StateBatch``).
-    """
-    n = matrices.shape[-1]
-    basis_h = basis.conj().transpose(0, 2, 1)
-    # before recon exists, so that the two rows' temporaries are never live together
-    unitary = np.linalg.norm(basis_h @ basis - np.eye(n), axis=(1, 2)) > STATE_RECON_TOL
-    if recon is None:
-        recon = (basis * values[..., None, :]) @ basis_h
-    return [
-        (np.abs(np.trace(matrices, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL, InvalidStateError, "trace is not 1"),
-        (unitary, InvalidStateError, "eigenbasis is not unitary to tolerance"),
-        (
-            np.linalg.norm(recon - matrices, axis=(1, 2)) > STATE_RECON_TOL,
-            InvalidStateError,
-            "matrix does not match its eigensystem",
-        ),
-    ]
 
 
 def raise_first_failure(checks, start: int) -> None:
@@ -196,47 +167,50 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
 
     One stacked eigh runs on (h + h†)/2, the recipe of ``hermitian_eig``, so
     spectra and bases equal the per-matrix path bit for bit. The checks of
-    ``hermitian_eig``, ``Spectrum`` and ``DensityMatrix`` run vectorized
-    against the same tolerances, followed by the caller's ``after`` triples
-    (see ``raise_first_failure``); the first failing record is named, counting
-    from ``start``. The stack gets one finiteness mask, and one norm of
-    h - h† serves both Hermiticity tolerances: ``hermitian_eig``'s relative
-    one and ``DensityMatrix``'s absolute one.
+    ``hermitian_eig``, ``Spectrum`` and ``DensityMatrix`` on the matrices' own
+    numbers run vectorized against the same tolerances, followed by the
+    caller's ``after`` triples (see ``raise_first_failure``); the first failing
+    record is named, counting from ``start``. One finiteness mask and one norm
+    of h - h† serve every finiteness and Hermiticity row. ``DensityMatrix``'s
+    rows on eigh's own output are left out: Hermitian eigh is backward stable,
+    so its basis is unitary to rounding, and the reconstruction misses h by at
+    most the clipped eigenvalues in [-1e-12, 0), sqrt(N - 1) * 1e-12, plus
+    half the skew, 0.5e-12, which is below STATE_RECON_TOL for N < 9,900.
     """
     finite = np.isfinite(matrices).all(axis=(1, 2))
     # non-finite rows fail the first check; zeros keep them out of LAPACK
     h = matrices if finite.all() else np.where(finite[:, None, None], matrices, 0.0)
-    # h† becomes the eigh input (h + h†)/2 in place, the block's one temporary stack
-    sym = h.conj().transpose(0, 2, 1)
-    skew = np.linalg.norm(h - sym, axis=(1, 2))
-    sym += h
-    sym /= 2
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"records {start}-{start + len(h) - 1}: eigenvalue iteration failed to converge"
-        ) from exc
-    del sym
-    w = np.ascontiguousarray(w[:, ::-1])
-    basis = v[:, :, ::-1]
-    checks = [
-        (~finite, ShapeError, "matrix entries must be finite"),
-        (
-            skew > HERMITICITY_RTOL * np.linalg.norm(h, axis=(1, 2)),
-            NotHermitianError,
-            "matrix is not Hermitian to working tolerance",
-        ),
-        (~np.isfinite(w).all(axis=1), ShapeError, "eigenvalues must be finite"),
-        ((w < NEGATIVE_EIGENVALUE_TOL).any(axis=1), InvalidStateError, "negative eigenvalue"),
-        (np.abs(w.sum(axis=1) - 1.0) > SPECTRUM_SUM_TOL, InvalidStateError, "eigenvalues do not sum to 1"),
-        # DensityMatrix's own rows before its eigensystem rows
-        (~np.isfinite(basis).all(axis=(1, 2)), ShapeError, "matrix entries must be finite"),
-        (skew > STATE_HERM_TOL, NotHermitianError, "density matrix is not Hermitian to tolerance"),
-    ]
+    # a huge finite cell may overflow the norms, sums and symmetrization, and the inf
+    # then makes NaN parts; its row fails a check all the same (skew is never NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # h† becomes the eigh input (h + h†)/2 in place, the block's one temporary stack
+        sym = h.conj().transpose(0, 2, 1)
+        skew = np.linalg.norm(h - sym, axis=(1, 2))
+        not_hermitian = skew > HERMITICITY_RTOL * np.linalg.norm(h, axis=(1, 2))
+        sym += h
+        sym /= 2
+        try:
+            w, v = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"records {start}-{start + len(h) - 1}: eigenvalue iteration failed to converge"
+            ) from exc
+        del sym
+        w = np.ascontiguousarray(w[:, ::-1])
+        checks = [
+            (~finite, ShapeError, "matrix entries must be finite"),
+            (not_hermitian, NotHermitianError, "matrix is not Hermitian to working tolerance"),
+            (~np.isfinite(w).all(axis=1), ShapeError, "eigenvalues must be finite"),
+            ((w < NEGATIVE_EIGENVALUE_TOL).any(axis=1), InvalidStateError, "negative eigenvalue"),
+            (np.abs(w.sum(axis=1) - 1.0) > SPECTRUM_SUM_TOL, InvalidStateError, "eigenvalues do not sum to 1"),
+            (skew > STATE_HERM_TOL, NotHermitianError, "density matrix is not Hermitian to tolerance"),
+            # the one row that sees Im tr rho, which can pass 1e-12 while both Hermiticity rows pass
+            (np.abs(np.trace(h, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL, InvalidStateError, "trace is not 1"),
+        ]
     values = np.sort(np.clip(w, 0.0, None), axis=1)[:, ::-1].copy()
-    raise_first_failure(checks + state_checks(h, values, basis) + list(after), start)
-    return _prechecked(DensityMatrix, matrix=matrices, spectrum=_prechecked(Spectrum, values=values), basis=basis)
+    raise_first_failure(checks + list(after), start)
+    spectra = _prechecked(Spectrum, values=values)
+    return _prechecked(DensityMatrix, matrix=matrices, spectrum=spectra, basis=v[:, :, ::-1])
 
 
 def ball_volume(n: int) -> float:

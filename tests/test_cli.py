@@ -589,10 +589,10 @@ def test_read_records_takes_csv_columns_in_any_order(tmp_path):
     assert_records_identical(read_records(shuffled), per_record_read(out))
 
 
-def edited_file(tmp_path, edit):
-    """A 600-record N=3 CSV whose rows (header first) went through ``edit``."""
+def edited_file(tmp_path, edit, method="haar", values=(0.5, 0.375, 0.125), count=600):
+    """A CSV, by default of 600 N=3 records, whose rows (header first) went through ``edit``."""
     out = tmp_path / "edited.csv"
-    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), 600, 21), out, "csv")
+    write_records(batch_sample(method, Spectrum(values), count, 21), out, "csv")
     rows = list(csv.reader(out.read_text().splitlines()))
     edit(rows)
     with out.open("w", newline="") as handle:
@@ -651,10 +651,12 @@ def plus(by):
         # make NaNs, which must not surface as a RuntimeWarning before the error
         (edit_record_300(im_1_2=lambda value: math.inf, im_2_1=lambda value: -math.inf), ShapeError),
         (edit_record_300(re_2_2=lambda value: math.inf, rho_22=lambda value: math.inf), ShapeError),
+        # a huge finite mirror pair overflows the norms, which must not surface as a RuntimeWarning either
+        (edit_record_300(re_1_2=lambda value: 1e200, re_2_1=lambda value: 1e200), InvalidStateError),
     ],
     ids=[
         "non-finite", "non-hermitian", "rho-jj-inconsistent", "rho-jj-nan", "trace-not-one", "negative-eigenvalue",
-        "first-record-wins", "inf-mirror-pair", "inf-diagonal-and-rho-jj",
+        "first-record-wins", "inf-mirror-pair", "inf-diagonal-and-rho-jj", "huge-mirror-pair",
     ],
 )
 def test_read_records_names_the_failing_record(tmp_path, edit, error):
@@ -664,6 +666,18 @@ def test_read_records_names_the_failing_record(tmp_path, edit, error):
     with pytest.raises(Exception) as per_record:
         per_record_read(out)
     assert raised.type is per_record.type
+
+
+def test_read_records_rejects_an_imaginary_trace(tmp_path):
+    # Im rho_jj = 1.5e-13 on all ten diagonal entries: ||rho - rho†|| = 9.5e-13 passes
+    # both Hermiticity tolerances, and only the trace row sees |Im tr rho| = 1.5e-12
+    values = (0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0)
+    edit = edit_record_300(**{f"im_{j}_{j}": lambda value: 1.5e-13 for j in range(1, 11)})
+    out = edited_file(tmp_path, edit, "coset", values, 400)
+    with pytest.raises(InvalidStateError, match="^record 300: trace is not 1$"):
+        read_records(out)
+    with pytest.raises(InvalidStateError, match="^trace is "):
+        per_record_read(out)
 
 
 def drop_column(label):

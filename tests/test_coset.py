@@ -9,7 +9,6 @@ from bures.coset import (
     BallPoint,
     FlagChart,
     _jacobian_matrix,
-    b_to_spherical,
     coset_jacobian_det,
     coset_unitary,
     euler_coset_volume,
@@ -141,24 +140,10 @@ def test_flag_unitary_is_unitary():
 # ----------------------------------------------------- exponential-map radial
 
 
-def test_b_to_spherical_zero():
-    p = b_to_spherical(np.zeros(2, dtype=complex))
-    assert np.array_equal(p.coords, np.zeros(4))
-
-
-def test_b_to_spherical_quarter_turn():
-    p = b_to_spherical(np.array([math.pi / 2, 0.0], dtype=complex))
-    assert p.coords == pytest.approx([1.0, 0.0, 0.0, 0.0])
-
-
-def test_b_to_spherical_half_turn_returns_to_center():
-    p = b_to_spherical(np.array([math.pi], dtype=complex))
-    assert p.coords == pytest.approx([0.0, 0.0], abs=1e-15)
-
-
 def test_b_to_spherical_matches_matrix_exponential():
-    # The coset block built from the mapped point equals exp of the
-    # antihermitian generator carrying B in its last column.
+    # The coset block of the ball point sin(|B|) B / |B| = sinc(|B|/pi) B (the
+    # exponential map's radial profile) equals exp of the antihermitian
+    # generator carrying B in its last column.
     rng = np.random.default_rng(202)
     for n in (1, 2, 3):
         for _ in range(10):
@@ -168,7 +153,10 @@ def test_b_to_spherical_matches_matrix_exponential():
             gen[:n, n] = b
             gen[n, :n] = -b.conj()
             expected = expm(gen)
-            got = coset_unitary(b_to_spherical(b), n + 1)
+            point = np.sinc(np.linalg.norm(b) / np.pi) * b
+            coords = np.empty(2 * n)
+            coords[0::2], coords[1::2] = point.real, point.imag
+            got = coset_unitary(BallPoint(coords), n + 1)
             assert got == pytest.approx(expected, abs=1e-12)
 
 

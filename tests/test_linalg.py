@@ -126,6 +126,13 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_overflow_gives_no_warning():
+    # the norms and (h + h†)/2 overflow; the eigenvalues come out non-finite for the caller
+    # to reject, without a RuntimeWarning (which the suite's settings turn into an error)
+    eig = hermitian_eig(np.array([[0.5, 1e308], [1e308, 0.5]]))
+    assert not np.isfinite(eig.eigenvalues).all()
+
+
 def test_hermitian_eig_rejects_rectangular():
     with pytest.raises(ShapeError):
         hermitian_eig(np.ones((2, 3)))

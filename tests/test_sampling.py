@@ -3,7 +3,7 @@ import pytest
 
 import bures.sampling
 from bures.coset import BALL_EDGE_TOL, BallPoint, FlagChart
-from bures.errors import NotHermitianError, ShapeError
+from bures.errors import InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import Spectrum
 from bures.sampling import (
     BLOCK_BYTES,
@@ -11,6 +11,7 @@ from bures.sampling import (
     StateBatch,
     _draw_charts,
     batch_sample,
+    block_records,
     coset_ladder,
     sample_ball,
     sample_flag_chart,
@@ -289,6 +290,42 @@ def test_state_batch_rejects_non_finite_or_non_hermitian_stacks(spectrum3, edit,
     edit(matrices)
     with pytest.raises(error, match="^record 1900: "):
         StateBatch("haar", 3, spectrum3, matrices)
+
+
+def _tilted(column, other):
+    tilted = column + 1e-9 * other
+    return tilted / np.linalg.norm(tilted)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # a column of norm 1 + 1e-9 moves the trace by 1e-9 times its eigenvalue
+        (lambda u: u[:, 0] * (1 + 1e-9), "trace is not 1"),
+        # a unit column 1e-9 off orthogonal keeps the trace at 1
+        (lambda u: _tilted(u[:, 0], u[:, 1]), "eigenbasis is not unitary to tolerance"),
+    ],
+    ids=["column-scaled", "column-tilted"],
+)
+def test_batch_sample_rejects_a_bad_unitary(spectrum3, monkeypatch, change, message):
+    # 2000 N=3 states: record 1900 lies in the second block
+    record = 1900
+    assert block_records(3) <= record
+    kernel = bures.sampling._coset_unitaries
+    done = []
+
+    def one_column_off(n_levels, dims, coords):
+        u = kernel(n_levels, dims, coords)
+        row = record - sum(done)
+        if 0 <= row < len(u):
+            u[row, :, 0] = change(u[row])
+        done.append(len(u))
+        return u
+
+    monkeypatch.setattr(bures.sampling, "_coset_unitaries", one_column_off)
+    with pytest.raises(InvalidStateError, match=f"^record {record}: {message}$"):
+        batch_sample("coset", spectrum3, 2000, 3)
+    assert len(done) == 2
 
 
 # ------------------------------------------------- batch path vs scalar oracle
