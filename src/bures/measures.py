@@ -60,8 +60,10 @@ class Spectrum:
             raise ShapeError("eigenvalues must be finite")
         if np.any(values < NEGATIVE_EIGENVALUE_TOL):
             raise InvalidStateError(f"negative eigenvalue {values.min():.6g}")
-        if abs(values.sum() - 1.0) > SPECTRUM_SUM_TOL:
-            raise InvalidStateError(f"eigenvalues sum to {values.sum():.17g}, not 1")
+        with np.errstate(over="ignore"):  # a huge sum is inf, and fails
+            total = values.sum()
+        if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+            raise InvalidStateError(f"eigenvalues sum to {total:.17g}, not 1")
         values = np.sort(np.clip(values, 0.0, None))[::-1].copy()
         object.__setattr__(self, "values", values)
 
@@ -95,16 +97,19 @@ class DensityMatrix:
             raise ShapeError(
                 f"matrix {matrix.shape} and basis {basis.shape} must both be {(n, n)}"
             )
-        if np.linalg.norm(matrix - matrix.conj().T) > STATE_HERM_TOL:
-            raise NotHermitianError("density matrix is not Hermitian to tolerance")
-        tr = complex(np.trace(matrix))
-        if abs(tr - 1.0) > STATE_HERM_TOL:
-            raise InvalidStateError(f"trace is {tr.real:.17g}{tr.imag:+.3g}j, not 1")
-        if np.linalg.norm(basis.conj().T @ basis - np.eye(n)) > STATE_RECON_TOL:
-            raise InvalidStateError("eigenbasis is not unitary to tolerance")
-        recon = (basis * self.spectrum.values) @ basis.conj().T
-        if np.linalg.norm(recon - matrix) > STATE_RECON_TOL:
-            raise InvalidStateError("matrix does not match its eigensystem")
+        # a huge finite entry may overflow a residual to inf, or to NaN (inf - inf in a
+        # product): each test is written to fail on both
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.linalg.norm(matrix - matrix.conj().T) <= STATE_HERM_TOL:
+                raise NotHermitianError("density matrix is not Hermitian to tolerance")
+            tr = complex(np.trace(matrix))
+            if not abs(tr - 1.0) <= STATE_HERM_TOL:
+                raise InvalidStateError(f"trace is {tr.real:.17g}{tr.imag:+.3g}j, not 1")
+            if not np.linalg.norm(basis.conj().T @ basis - np.eye(n)) <= STATE_RECON_TOL:
+                raise InvalidStateError("eigenbasis is not unitary to tolerance")
+            recon = (basis * self.spectrum.values) @ basis.conj().T
+            if not np.linalg.norm(recon - matrix) <= STATE_RECON_TOL:
+                raise InvalidStateError("matrix does not match its eigensystem")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "basis", basis)
 

@@ -9,8 +9,12 @@ exactly what the scalar samplers below draw for record i, and builds the
 states of a whole block of records with stacked array operations. For
 records of few draws it computes the draws of a whole block from the
 streams' Philox words (``bures.philox``) and re-keys one generator only for
-the records those words cannot give; otherwise it re-keys it per record. The
-scalar samplers stay as the reference it is tested against.
+the records those words cannot give; otherwise it re-keys it per record. A
+re-key assigns the one restart state the stream keeps, and a re-keyed record
+writes its normals and uniforms in place into the block's rows. The complex
+Ginibre stack, and the ball norms and radii, are then assembled once per
+block for all rows. The scalar samplers stay as the reference it is tested
+against.
 """
 
 import math
@@ -25,8 +29,6 @@ from .measures import STATE_HERM_TOL, STATE_RECON_TOL, DensityMatrix, Spectrum, 
 from .philox import normals, philox_words, uniforms
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 
 #: Squared-radius margin kept between interior points and the ball edge, so
 #: that finite-difference Jacobian checks have clearance.
@@ -47,28 +49,30 @@ class RngStream:
     def __init__(self, seed: int, stream_index: int = 0):
         self.seed = int(seed) % 2**64
         self.stream_index = int(stream_index) % 2**64
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._key = [self.seed, self.stream_index]
+        self._generator = np.random.Generator(np.random.Philox(key=np.array(self._key, dtype=np.uint64)))
+        # the state rekey assigns: counter 0, empty buffer, and the key list above.
+        # numpy copies each entry into the generator, and reads Python ints
+        # several times faster than numpy arrays' scalars
+        self._restart = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def rekey(self, stream_index: int) -> None:
         """Restart as stream (seed, stream_index): counter 0, empty buffer.
 
         A Philox stream is a pure function of its key and counter, so the
         draws that follow equal those of ``RngStream(seed, stream_index)`` bit
-        for bit, without the cost of building a new generator.
+        for bit, without the cost of building a new generator. The stream
+        keeps one restart state and only changes its key's index.
         """
-        self.stream_index = int(stream_index) % 2**64
-        self._generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": _PHILOX_ZEROS,
-                "key": np.array([self.seed, self.stream_index], dtype=np.uint64),
-            },
-            "buffer": _PHILOX_ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self.stream_index = self._key[1] = int(stream_index) % 2**64
+        self._generator.bit_generator.state = self._restart
 
     def standard_normal(self, size=None):
         return self._generator.standard_normal(size)
@@ -289,9 +293,13 @@ def _layer_offsets(dims: tuple) -> list:
 #: leaves numpy's ziggurat fast path with probability about 1.5% (``KI``),
 #: and a record with such a draw is redrawn on its own stream, so a record of
 #: n normals falls back with probability 1 - 0.985^n: about 9% at 6 normals
-#: (coset, N=3), 24% at 18 (Haar, N=3), 26% at 20 (coset, N=5) and 74% at 90
-#: (coset, N=10), where drawing each record on its own stream is the faster.
-BULK_MAX_NORMALS = 20
+#: (coset, N=3), 24% at 18 (Haar, N=3), 38% at 32 (Haar, N=4), 47% at 42
+#: (coset, N=7) and 57% at 56 (coset, N=8). Timed against per-record draws,
+#: bulk was the faster for coset up to N=7 (about even at N=8) and for Haar
+#: N=2, and 12-17% the slower for Haar N=3 and N=4, whose per-record rows
+#: make one generator call where a coset row makes two per layer. One count
+#: cannot serve both; the gate sits at the largest coset ladder that gains.
+BULK_MAX_NORMALS = 42
 
 
 def _bulk_words(seed: int, start: int, stop: int, draws: int) -> np.ndarray:
@@ -299,28 +307,19 @@ def _bulk_words(seed: int, start: int, stop: int, draws: int) -> np.ndarray:
     return philox_words(seed, start, stop, -(-draws // 4))[:, :draws]
 
 
-def _bulk_chart_rows(seed: int, layers: list, start: int, coords: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """``_draw_charts``' per-record draws for every row at once, from the streams' words.
+def _bulk_chart_draws(seed: int, dims: tuple, start: int, stop: int):
+    """(directions, uniforms, redo): ``_draw_charts``' draws for every row at once, from the streams' words.
 
-    Each layer takes dim normal words, then one uniform word. Returns the
-    rows it could not draw: those with a normal off the ziggurat fast path or
-    a layer whose norm would be redrawn. Each squared norm, a stacked matmul
-    of the row with itself, must equal the per-record path's ndarray.dot bit
-    for bit (the tests compare them); summed another way it differs.
+    Each layer takes dim normal words, then one uniform word. ``directions``
+    (rows, sum(dims)) holds the normals layer after layer, ``uniforms`` (rows,
+    layers) the uniforms, and ``redo`` lists the rows with a normal off the
+    ziggurat fast path, whose draws here are not numpy's.
     """
-    words = _bulk_words(seed, start, start + len(coords), coords.shape[1] + len(layers))
-    done = np.ones(len(coords), dtype=bool)
-    pos = 0
-    for layer, (lo, dim) in layers:
-        direction, fast = normals(words[:, pos : pos + dim])
-        u = uniforms(words[:, pos + dim]).tolist()
-        pos += dim + 1
-        norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
-        done &= fast.all(axis=1) & (norm >= 1e-300)
-        coords[:, lo : lo + dim] = direction
-        # Python's float power, as the per-record path takes it
-        scales[:, layer] = np.array([v ** (1.0 / dim) for v in u]) / np.where(done, norm, 1.0)
-    return np.flatnonzero(~done)
+    words = _bulk_words(seed, start, stop, sum(dims) + len(dims))
+    ends = np.cumsum(np.add(dims, 1)) - 1
+    # np.take keeps the rows C-contiguous, which in-place draws into a row need
+    directions, fast = normals(np.take(words, np.delete(np.arange(words.shape[1]), ends), axis=1))
+    return directions, uniforms(words[:, ends]), np.flatnonzero(~fast.all(axis=1)).tolist()
 
 
 def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarray:
@@ -328,31 +327,40 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
 
     Row i concatenates the layers smallest first and equals the coordinates
     ``sample_flag_chart`` draws from stream (seed, start + i), bit for bit.
-    Up to BULK_MAX_NORMALS normals per record the rows are drawn in bulk from
-    the streams' words, and only the rows that leave the bulk path re-key
-    ``rng``; above it every row does.
+    Up to BULK_MAX_NORMALS normals per record the draws come from the
+    streams' words, and only the rows that leave the bulk path re-key
+    ``rng``; above it every row does. A re-keyed row writes each layer's
+    normals in place, then its uniform. Norms and radii of every row come
+    from one assembly per block. Each squared norm, a stacked matmul of a
+    layer with itself, equals ``sample_ball``'s ndarray.dot bit for bit (the
+    tests compare them); summed another way it differs. A row with a layer
+    norm below 1e-300, which ``sample_ball`` would redraw, is redone by it.
     """
-    coords = np.empty((stop - start, sum(dims)))
-    scales = np.empty((stop - start, len(dims)))
-    layers = list(enumerate(zip(_layer_offsets(dims), dims)))
+    rows = stop - start
+    spans = [slice(lo, lo + dim) for lo, dim in zip(_layer_offsets(dims), dims)]
     if sum(dims) <= BULK_MAX_NORMALS:
-        redo = _bulk_chart_rows(rng.seed, layers, start, coords, scales).tolist()
+        coords, u, redo = _bulk_chart_draws(rng.seed, dims, start, stop)
     else:
-        redo = range(stop - start)
-    # the same draws in the same order, the same redraw loop and the same
-    # floating-point steps as sample_ball (np.linalg.norm of a real vector is
-    # sqrt(x.dot(x)))
+        coords, u, redo = np.empty((rows, sum(dims))), np.empty((rows, len(dims))), range(rows)
+    draw, uniform = rng._generator.standard_normal, rng._generator.random
     for row in redo:
         rng.rekey(start + row)
-        for layer, (lo, dim) in layers:
-            direction = rng.standard_normal(dim)
-            norm = math.sqrt(direction.dot(direction))
-            while norm < 1e-300:
-                direction = rng.standard_normal(dim)
-                norm = math.sqrt(direction.dot(direction))
-            coords[row, lo : lo + dim] = direction
-            scales[row, layer] = rng.uniform() ** (1.0 / dim) / norm
-    coords *= np.repeat(scales, dims, axis=1)
+        line, line_u = coords[row], u[row]
+        for layer, span in enumerate(spans):
+            draw(out=line[span])
+            line_u[layer] = uniform()
+    norms = np.empty_like(u)
+    for layer, span in enumerate(spans):
+        direction = coords[:, span]
+        norms[:, layer] = np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0]
+    np.sqrt(norms, out=norms)
+    tiny = norms < 1e-300
+    # Python's float power, as sample_ball takes it
+    radii = np.fromiter(map(pow, u.ravel().tolist(), [1.0 / dim for dim in dims] * rows), float, u.size)
+    coords *= np.repeat(radii.reshape(u.shape) / np.where(tiny, 1.0, norms), dims, axis=1)
+    for row in np.flatnonzero(tiny.any(axis=1)).tolist():
+        rng.rekey(start + row)
+        coords[row] = np.concatenate([sample_ball(dim, rng).coords for dim in dims])
     return coords
 
 
@@ -387,28 +395,29 @@ def _coset_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarr
 def _haar_unitaries(rng: RngStream, n_levels: int, start: int, stop: int) -> np.ndarray:
     """Stacked ``sample_haar_unitary`` for records start..stop-1.
 
-    Up to BULK_MAX_NORMALS normals per record the Ginibre draws come from the
-    streams' words, and a record with a normal off the ziggurat fast path is
-    drawn on its own re-keyed stream. One QR runs over the whole stack and
-    the phases are fixed by the diagonal of each R. A record whose R has a
-    pivot at or below PIVOT_FLOOR is redone by the scalar sampler on a fresh
-    stream (seed, index), which replays the same first draw and then the
-    same retry.
+    Each row holds a record's 2N² normals, the real block first. Up to
+    BULK_MAX_NORMALS normals per record they come from the streams' words,
+    and a record with a normal off the ziggurat fast path re-keys ``rng``
+    and draws its row in place; above it every record does. The complex
+    Ginibre stack is built once from all rows. One QR runs over the whole
+    stack and the phases are fixed by the diagonal of each R. A record whose
+    R has a pivot at or below PIVOT_FLOOR is redone by the scalar sampler on
+    a fresh stream (seed, index), which replays the same first draw and then
+    the same retry.
     """
-    z = np.empty((stop - start, n_levels, n_levels), dtype=complex)
     draws = 2 * n_levels * n_levels
     if draws <= BULK_MAX_NORMALS:
         x, fast = normals(_bulk_words(rng.seed, start, stop, draws))
-        x = x.reshape(stop - start, 2, n_levels, n_levels)
-        # RngStream.complex_normal's arithmetic on the whole stack
-        z[:] = (x[:, 0] + 1j * x[:, 1]) * _SQRT_HALF
         redo = np.flatnonzero(~fast.all(axis=1)).tolist()
     else:
-        redo = range(stop - start)
+        x, redo = np.empty((stop - start, draws)), range(stop - start)
+    draw = rng._generator.standard_normal
     for row in redo:
         rng.rekey(start + row)
-        z[row] = rng.complex_normal((n_levels, n_levels))
-    q, r = qr_decompose_stack(z)
+        draw(out=x[row])
+    x = x.reshape(stop - start, 2, n_levels, n_levels)
+    # RngStream.complex_normal's arithmetic on the whole stack
+    q, r = qr_decompose_stack((x[:, 0] + 1j * x[:, 1]) * _SQRT_HALF)
     d = np.diagonal(r, axis1=1, axis2=2)
     mag = np.abs(d)
     singular = mag <= PIVOT_FLOOR

@@ -91,6 +91,26 @@ def test_density_matrix_rejects_non_unitary_basis():
         DensityMatrix(np.eye(2) / 2, s, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DensityMatrix(np.diag([0.5, 0.5 + 1e308j]), Spectrum([0.5, 0.5]), np.eye(2)),
+         NotHermitianError, "not Hermitian"),
+        (lambda: DensityMatrix.from_matrix(np.diag([0.5, 0.5 + 1e308j])), NotHermitianError, "not Hermitian"),
+        (lambda: DensityMatrix(np.diag([1e308, 1e308]), Spectrum([0.5, 0.5]), np.eye(2)), InvalidStateError, "trace"),
+        # basis† basis overflows to inf - inf = NaN, which a plain "> tol" test lets through
+        (lambda: DensityMatrix(np.eye(2) / 2, Spectrum([0.5, 0.5]), np.array([[1e200, -1e200], [1e200, 1e200]])),
+         InvalidStateError, "eigenbasis is not unitary"),
+        (lambda: Spectrum([1e308, 1e308, 0.0]), InvalidStateError, "sum to inf"),
+    ],
+    ids=["imaginary-1e308-diagonal", "from-matrix-imaginary-1e308", "trace-overflow", "basis-1e200", "spectrum-sum"],
+)
+def test_per_record_constructors_reject_overflow_without_warning(build, error, message):
+    # the suite's settings turn a RuntimeWarning into an error, so each row also asserts none
+    with pytest.raises(error, match=message):
+        build()
+
+
 # ------------------------------------------------------------------- volumes
 
 

@@ -165,35 +165,81 @@ def sample_chart_coords_row(seed, index):
     return np.concatenate([layer.coords for layer in chart.layers])
 
 
+def spy_rekeys(monkeypatch, crafted=None):
+    """The stream indices ``RngStream.rekey`` is called with, in order.
+
+    With ``crafted`` = (index, words), a re-key to that index goes on to
+    emit ``words`` first, as a stream (seed, index) whose counter was set
+    to them.
+    """
+    calls = []
+    real = RngStream.rekey
+
+    def rekey(self, index):
+        calls.append(index)
+        real(self, index)
+        if crafted and index == crafted[0]:
+            state = emitting(crafted[1], (self.seed, index))._generator.bit_generator.state
+            self._generator.bit_generator.state = state
+
+    monkeypatch.setattr(RngStream, "rekey", rekey)
+    return calls
+
+
+#: A zero B^2 layer: two fast draws of +0.0, then two fast draws numpy redraws the direction from.
+ZERO_LAYER = (normal_word(2, 0), normal_word(2, 0), normal_word(3, 7), normal_word(4, 9, 1))
+
+
 def test_an_all_zero_layer_leaves_the_bulk_path(monkeypatch):
     # N=3 coset records take 8 words: layer B^2 is words 0-2, layer B^4 words 3-7
     dims = (2, 4)
     real = bures.sampling.philox_words(3, 0, 3, 2)
     crafted = real.copy()
-    crafted[1, 0:2] = normal_word(2, 0)  # both B^2 normals are +0.0, fast draws
+    crafted[1, 0:2] = ZERO_LAYER[:2]  # both B^2 normals are +0.0, fast draws
     crafted[2, 4] = normal_word(1, 5)  # a draw off the fast path in layer B^4
     monkeypatch.setattr(bures.sampling, "philox_words", lambda *args: crafted)
-    layers = list(enumerate(zip([0, 2], dims)))
-    coords, scales = np.empty((3, 6)), np.empty((3, 2))
-    redo = bures.sampling._bulk_chart_rows(3, layers, 0, coords, scales)
-    assert redo.tolist() == [1, 2]
+    rekeys = spy_rekeys(monkeypatch)
+    coords = _draw_charts(RngStream(3), dims, 0, 3)
+    # row 2 draws in place on its own stream; the assembly finds row 1's zero
+    # layer and sample_ball redoes the row
+    assert rekeys == [2, 1]
     monkeypatch.undo()
-    assert np.array_equal(coords[0] * np.repeat(scales[0], dims), sample_chart_coords_row(3, 0))
+    for i in range(3):
+        assert np.array_equal(coords[i], sample_chart_coords_row(3, i))
     # numpy, fed the zero layer, redraws the direction from the next two words
-    fill = (normal_word(3, 7), normal_word(4, 9, 1))
-    point = sample_ball(2, emitting((normal_word(2, 0), normal_word(2, 0), *fill)))
-    direction = normals(np.array(fill, dtype=np.uint64))[0]
+    point = sample_ball(2, emitting(ZERO_LAYER))
+    direction = normals(np.array(ZERO_LAYER[2:], dtype=np.uint64))[0]
     assert np.allclose(point.coords / np.linalg.norm(point.coords), direction / np.linalg.norm(direction))
 
 
-@pytest.mark.parametrize("values", [[0.5, 0.3, 0.2], [0.35, 0.25, 0.2, 0.15, 0.05], [0.6, 0.4, 0.0, 0.0]])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_a_per_record_row_with_a_zero_layer_is_redone(monkeypatch, seed):
+    # N=8 coset records take 56 normals, above the bulk gate: every row draws in place
+    spectrum = Spectrum([0.25, 0.2, 0.15, 0.12, 0.1, 0.08, 0.06, 0.04])
+    dims = coset_ladder(spectrum)
+    assert sum(dims) > BULK_MAX_NORMALS
+    rekeys = spy_rekeys(monkeypatch, crafted=(1, ZERO_LAYER))
+    coords = _draw_charts(RngStream(seed), dims, 0, 3)
+    assert rekeys == [0, 1, 2, 1]
+    assert np.isfinite(coords).all()
+    monkeypatch.undo()
+    crafted_chart = sample_flag_chart(spectrum, emitting(ZERO_LAYER, (seed, 1)))
+    for i, chart in enumerate([sample_flag_chart(spectrum, RngStream(seed, 0)), crafted_chart,
+                               sample_flag_chart(spectrum, RngStream(seed, 2))]):
+        assert np.array_equal(coords[i], np.concatenate([layer.coords for layer in chart.layers]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5, 0.3, 0.2], [0.35, 0.25, 0.2, 0.15, 0.05], [0.6, 0.4, 0.0, 0.0], [0.25, 0.2, 0.15, 0.14, 0.12, 0.1, 0.04]],
+)
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
 def test_bulk_chart_coords_match_scalar_draws_with_fallbacks(values, seed):
     spectrum = Spectrum(values)
     dims = coset_ladder(spectrum)
     count = 2000
     coords = _draw_charts(RngStream(seed), dims, 0, count)
-    _, fast = normals(philox_words(seed, 0, count, 8))
+    _, fast = normals(philox_words(seed, 0, count, 12))
     normal_columns = np.concatenate([np.arange(lo, lo + dim) + layer for layer, (lo, dim) in
                                      enumerate(zip(np.cumsum((0,) + dims[:-1]), dims))])
     fallbacks = (~fast[:, normal_columns]).any(axis=1).sum()
@@ -203,17 +249,23 @@ def test_bulk_chart_coords_match_scalar_draws_with_fallbacks(values, seed):
         assert np.array_equal(row, np.concatenate([layer.coords for layer in chart.layers]))
 
 
-@pytest.mark.parametrize("dim", range(2, BULK_MAX_NORMALS + 1))
+@pytest.mark.parametrize("dim", [*range(2, 21), *range(22, 199, 2)])
 def test_stacked_layer_norms_equal_ndarray_dot(dim):
-    # _bulk_chart_rows squares a layer's norm by one stacked matmul; the per-record path takes ndarray.dot
-    words = np.random.default_rng(dim).integers(0, 2**64, size=(100_000, dim), dtype=np.uint64)
+    # _draw_charts squares a layer's norm by one stacked matmul over a column
+    # slice of the block's rows; sample_ball takes ndarray.dot of the layer alone
+    rows = 100_000 if dim <= 20 else 3_000
+    words = np.random.default_rng(dim).integers(0, 2**64, size=(rows, dim), dtype=np.uint64)
     direction = normals(words)[0]
-    stacked = np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0]
-    per_row = np.fromiter(map(np.ndarray.dot, direction, direction), float, len(direction))
-    assert stacked.dtype == per_row.dtype and stacked.tobytes() == per_row.tobytes()
+    per_row = np.fromiter(map(np.ndarray.dot, direction, direction), float, rows)
+    block = np.zeros((rows, dim + 3))
+    block[:, 1 : dim + 1] = direction
+    for layer in (direction, block[:, 1 : dim + 1]):
+        stacked = np.matmul(layer[:, None, :], layer[:, :, None])[:, 0, 0]
+        assert stacked.dtype == per_row.dtype and stacked.tobytes() == per_row.tobytes()
 
 
-@pytest.mark.parametrize("n_levels", [2, 3])
+# N = 2, 3 draw in bulk; N = 4, 10 draw each row in place on its own stream
+@pytest.mark.parametrize("n_levels", [2, 3, 4, 10])
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
 def test_bulk_ginibre_stacks_match_scalar_draws(monkeypatch, n_levels, seed):
     stacks = []
@@ -235,10 +287,10 @@ def test_bulk_ginibre_stacks_match_scalar_draws(monkeypatch, n_levels, seed):
 @pytest.mark.parametrize(
     "method, values, bulk",
     [
-        ("coset", [0.35, 0.25, 0.2, 0.15, 0.05], True),  # 20 normals
-        ("coset", [0.3, 0.25, 0.2, 0.15, 0.06, 0.04], False),  # 30 normals
-        ("haar", [0.5, 0.3, 0.2], True),  # 18 normals
-        ("haar", [0.4, 0.3, 0.2, 0.1], False),  # 32 normals
+        ("coset", [0.25, 0.2, 0.15, 0.14, 0.12, 0.1, 0.04], True),  # 42 normals
+        ("coset", [0.25, 0.2, 0.15, 0.12, 0.1, 0.08, 0.06, 0.04], False),  # 56 normals
+        ("haar", [0.4, 0.3, 0.2, 0.1], True),  # 32 normals
+        ("haar", [0.35, 0.25, 0.2, 0.15, 0.05], False),  # 50 normals
     ],
 )
 def test_bulk_path_runs_up_to_the_draw_count_gate(monkeypatch, method, values, bulk):

@@ -349,7 +349,8 @@ def test_batch_chart_coords_match_scalar_draws(n_levels, zero_block):
 def test_rekeyed_stream_matches_a_fresh_one():
     rng = RngStream(5, 0)
     rng.standard_normal(3)
-    for index in (1, 7, 2**40):
+    # back to indices drawn from before, after draws: the kept restart state is unchanged
+    for index in (1, 7, 2**40, 7, 0, 2**64 - 1):
         rng.rekey(index)
         fresh = RngStream(5, index)
         assert rng.stream_index == fresh.stream_index
