@@ -74,10 +74,7 @@ def _parse_spectrum(text: str) -> Spectrum:
     total = sum(values)
     if abs(total - 1.0) >= 1e-9:
         raise UsageError(f"spectrum sums to {total:.12g}; must be within 1e-9 of 1")
-    try:
-        return Spectrum(np.array(values) / total)
-    except BuresError as exc:
-        raise UsageError(str(exc)) from exc
+    return Spectrum(np.array(values) / total)
 
 
 def _check_seed(seed: int) -> int:

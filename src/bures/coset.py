@@ -11,7 +11,8 @@ acting on n+1 levels. Because X X† has rank one, the matrix square root has
 the closed form 1 - X X† / (1 + sqrt(1 - r^2)), which is what the code uses.
 Embedding blocks of growing size into the top-left corner of an N-level
 identity and multiplying them together (largest block leftmost) produces a
-unitary whose columns diagonalize a generic mixed state.
+unitary whose columns diagonalize a generic mixed state: ``flag_unitary`` for
+one chart, ``flag_unitaries`` for a stack of them.
 
 The key quantitative fact, checked numerically by ``coset_jacobian_det``, is
 that plain Euclidean volume on each ball is exactly the invariant volume of
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, OutOfBallError, ShapeError
-from .linalg import matmul
+from .measures import as_complex_matrix
 
 #: Squared-radius slack accepted when validating ball membership.
 BALL_EDGE_TOL = 1e-12
@@ -99,10 +100,6 @@ class FlagChart:
         object.__setattr__(self, "layers", layers)
 
     @property
-    def dims(self) -> tuple:
-        return tuple(p.dim for p in self.layers)
-
-    @property
     def n_levels(self) -> int:
         return self.layers[-1].dim // 2 + 1
 
@@ -119,7 +116,7 @@ def coset_unitary(point: BallPoint, n_levels: int) -> np.ndarray:
         raise ShapeError(f"a ball of dimension {point.dim} acts on {n + 1} levels, more than {n_levels}")
     r2 = point.radius_sq
     x = point.complex_column()
-    s = math.sqrt(max(1.0 - min(r2, 1.0), 0.0))
+    s = math.sqrt(1.0 - min(r2, 1.0))
     out = np.eye(n_levels, dtype=complex)
     out[:n, :n] -= np.outer(x, x.conj()) / (1.0 + s)
     out[:n, n] = x
@@ -128,12 +125,56 @@ def coset_unitary(point: BallPoint, n_levels: int) -> np.ndarray:
     return out
 
 
+def matmul(a, b) -> np.ndarray:
+    """Matrix product a @ b with conformability checking."""
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    return a @ b
+
+
 def flag_unitary(chart: FlagChart) -> np.ndarray:
     """Product of the chart's coset layers, largest block leftmost."""
     out = np.eye(chart.n_levels, dtype=complex)
     for layer in chart.layers:
         out = matmul(coset_unitary(layer, chart.n_levels), out)
     return out
+
+
+def layer_offsets(dims: tuple) -> list:
+    """Column where each layer starts in a chart row, the layers concatenated smallest first."""
+    return np.cumsum((0,) + dims[:-1]).tolist()
+
+
+def flag_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray:
+    """Stacked ``flag_unitary`` of each row's chart, one low-rank update per layer.
+
+    Row i of ``coords`` concatenates the coordinates of a chart's layers,
+    whose ball dimensions are ``dims``, smallest first. The layer on B^(2k)
+    differs from the identity by ``coset_unitary``'s rank-two block on the
+    leading k+1 levels, [[1 - x x†/(1+s), x], [-x†, s]]. Before it is applied
+    the product is block-diagonal (W, identity) with W of size k, so the
+    product only changes in its leading (k+1) x (k+1) block, which becomes
+    [[W - x (x† W)/(1+s), x], [-x† W, s]]: O(k^2) work per layer instead of a
+    dense N x N product.
+    """
+    u = np.zeros((coords.shape[0], n_levels, n_levels), dtype=complex)
+    first = dims[0] // 2
+    u[:, range(first), range(first)] = 1.0
+    for lo, dim in zip(layer_offsets(dims), dims):
+        k = dim // 2
+        layer = coords[:, lo : lo + dim]
+        x = layer[:, 0::2] + 1j * layer[:, 1::2]
+        r2 = np.einsum("ij,ij->i", layer, layer)
+        s = np.sqrt(1.0 - np.minimum(r2, 1.0))
+        w = u[:, :k, :k]
+        xw = (x.conj()[:, None, :] @ w)[:, 0, :]
+        w -= x[:, :, None] * (xw / (1.0 + s)[:, None])[:, None, :]
+        u[:, :k, k] = x
+        u[:, k, :k] = -xw
+        u[:, k, k] = s
+    return u
 
 
 def _jacobian_matrix(point: BallPoint, step: float) -> np.ndarray:

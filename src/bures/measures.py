@@ -9,11 +9,16 @@ in the eigenbasis of rho. The eigenvalue part of the corresponding volume
 element carries the factor prod_{j<k} (lambda_j - lambda_k)^2 / (lambda_j +
 lambda_k) over 2^(N-2) sqrt(lambda_1 ... lambda_N); the angular part is the
 flag-manifold volume computed here in two common normalizations.
+
+The state types come with their stacked twins: ``density_matrices`` is
+``DensityMatrix.from_matrix`` (through the checked ``hermitian_eig``) over a
+stack, and ``store_states`` is ``from_eigensystem``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +30,6 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from .linalg import HERMITICITY_RTOL, as_complex_matrix, hermitian_eig
 
 #: Absolute tolerance on the eigenvalue sum of a spectrum.
 SPECTRUM_SUM_TOL = 1e-12
@@ -39,6 +43,50 @@ STATE_RECON_TOL = 1e-10
 
 #: Eigenvalues at or below this count as zero.
 DEGENERACY_TOL = 1e-12
+
+#: Relative Frobenius tolerance for accepting a matrix as Hermitian.
+HERMITICITY_RTOL = 1e-10
+
+
+class EigenDecomposition(NamedTuple):
+    """Hermitian eigensystem: ascending eigenvalues, matching unit eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a finite 2-D complex128 array."""
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError("matrix entries must be finite")
+    return arr
+
+
+def hermitian_eig(h) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    The input must satisfy ``norm(h - h†) <= 1e-10 * norm(h)`` in Frobenius
+    norm; the tiny antihermitian residue is symmetrized away before the solve.
+    """
+    h = as_complex_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise ShapeError(f"eigendecomposition expects a square matrix, got {h.shape}")
+    # scaled by a power of two to parts below 1, exactly, the test's norms cannot overflow
+    peak = max(np.abs(h.real).max(), np.abs(h.imag).max())
+    unit = h * 2.0 ** -math.frexp(peak)[1] if peak > 1 else h
+    if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit):
+        raise NotHermitianError("matrix is not Hermitian to working tolerance")
+    # a huge finite entry may overflow here; the caller rejects non-finite eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (h + h.conj().T) / 2
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("eigenvalue iteration failed to converge") from exc
+    return EigenDecomposition(w, v)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -216,6 +264,31 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
     raise_first_failure(checks + list(after), start)
     spectra = _prechecked(Spectrum, values=values)
     return _prechecked(DensityMatrix, matrix=matrices, spectrum=spectra, basis=v[:, :, ::-1])
+
+
+def store_states(spectrum: Spectrum, bases: np.ndarray, out: np.ndarray, start: int) -> None:
+    """``DensityMatrix.from_eigensystem`` of every basis in a (count, N, N) stack, written into ``out``.
+
+    raw = (basis * values) basis†, and the stored state is (raw + raw†)/2,
+    Hermitian bit for bit, as in ``from_eigensystem``. The trace (to
+    STATE_HERM_TOL) and ‖basis† basis − I‖ (to STATE_RECON_TOL) are tested
+    as ``DensityMatrix`` tests them, so a NaN residual fails, naming the
+    first failing record counting from ``start``. Once the basis is unitary
+    the reconstruction residual ‖raw − (raw + raw†)/2‖ is rounding-level, so
+    it is not tested; finiteness and exact Hermiticity are left to the
+    caller's stack check.
+    """
+    bases_h = bases.conj().transpose(0, 2, 1)
+    raw = (bases * spectrum.values) @ bases_h
+    np.add(raw, raw.conj().transpose(0, 2, 1), out=out)
+    out /= 2
+    del raw
+    unitary = np.linalg.norm(bases_h @ bases - np.eye(out.shape[-1]), axis=(1, 2))
+    checks = [
+        (~(np.abs(np.trace(out, axis1=1, axis2=2) - 1.0) <= STATE_HERM_TOL), InvalidStateError, "trace is not 1"),
+        (~(unitary <= STATE_RECON_TOL), InvalidStateError, "eigenbasis is not unitary to tolerance"),
+    ]
+    raise_first_failure(checks, start)
 
 
 def ball_volume(n: int) -> float:

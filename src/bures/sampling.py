@@ -13,8 +13,10 @@ the records those words cannot give; otherwise it re-keys it per record. A
 re-key assigns the one restart state the stream keeps, and a re-keyed record
 writes its normals and uniforms in place into the block's rows. The complex
 Ginibre stack, and the ball norms and radii, are then assembled once per
-block for all rows. The scalar samplers stay as the reference it is tested
-against.
+block for all rows. The scalar samplers, with the checked QR and its pivot
+floor, stay beside the batch kernels as the reference they are tested
+against; a block's flag product and states come from ``coset.flag_unitaries``
+and ``measures.store_states``, each beside its per-record twin.
 """
 
 import math
@@ -22,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import BallPoint, FlagChart, flag_unitary
-from .errors import InvalidStateError, NotHermitianError, ShapeError, SingularMatrixError
-from .linalg import PIVOT_FLOOR, qr_decompose, qr_decompose_stack
-from .measures import STATE_HERM_TOL, STATE_RECON_TOL, DensityMatrix, Spectrum, raise_first_failure
+from .coset import BallPoint, FlagChart, flag_unitaries, flag_unitary, layer_offsets
+from .errors import NotHermitianError, ShapeError, SingularMatrixError
+from .measures import DensityMatrix, Spectrum, as_complex_matrix, raise_first_failure, store_states
 from .philox import normals, philox_words, uniforms
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -36,6 +37,9 @@ INTERIOR_MARGIN = 1e-2
 
 #: Sampling methods, as written in record files.
 METHODS = ("haar", "coset")
+
+#: Diagonal entries of R at or below this magnitude count as rank deficiency.
+PIVOT_FLOOR = 1e-300
 
 
 class RngStream:
@@ -136,6 +140,33 @@ def sample_interior_point(dim: int, rng: RngStream) -> BallPoint:
         point = sample_ball(dim, rng)
         if point.radius_sq <= 1.0 - INTERIOR_MARGIN:
             return point
+
+
+def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of a square matrix.
+
+    Returns ``(q, r)`` with ``q`` unitary and ``r`` upper triangular. Raises
+    ``SingularMatrixError`` if any diagonal entry of ``r`` underflows the
+    pivot floor, i.e. the input is numerically rank deficient.
+    """
+    a = as_complex_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"QR factorization here expects a square matrix, got {a.shape}")
+    q, r = np.linalg.qr(a)
+    if np.any(np.abs(np.diagonal(r)) <= PIVOT_FLOOR):
+        raise SingularMatrixError("matrix is numerically rank deficient")
+    return q, r
+
+
+def qr_decompose_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of every matrix in a finite (count, n, n) complex stack.
+
+    The caller builds the stack, so its shape and finiteness are not checked
+    again. Unlike ``qr_decompose`` it does not raise on rank deficiency, so
+    that one bad matrix does not fail the stack: callers compare the
+    diagonals of R with PIVOT_FLOOR themselves.
+    """
+    return np.linalg.qr(a)
 
 
 def sample_haar_unitary(n_levels: int, rng: RngStream) -> np.ndarray:
@@ -284,11 +315,6 @@ def _blocks(count: int, n_levels: int):
         yield start, min(start + step, count)
 
 
-def _layer_offsets(dims: tuple) -> list:
-    """Column where each layer starts in a chart row."""
-    return np.cumsum((0,) + dims[:-1]).tolist()
-
-
 #: Most normal draws per record for which the bulk draw path runs. A normal
 #: leaves numpy's ziggurat fast path with probability about 1.5% (``KI``),
 #: and a record with such a draw is redrawn on its own stream, so a record of
@@ -297,8 +323,10 @@ def _layer_offsets(dims: tuple) -> list:
 #: (coset, N=7) and 57% at 56 (coset, N=8). Timed against per-record draws,
 #: bulk was the faster for coset up to N=7 (about even at N=8) and for Haar
 #: N=2, and 12-17% the slower for Haar N=3 and N=4, whose per-record rows
-#: make one generator call where a coset row makes two per layer. One count
-#: cannot serve both; the gate sits at the largest coset ladder that gains.
+#: make one generator call where a coset row makes two per layer. End to end
+#: that loss does not show (N=3 Haar ``bures sample`` calls were faster in
+#: bulk in most alternating pairs), so the gate sits at the largest coset
+#: ladder that gains.
 BULK_MAX_NORMALS = 42
 
 
@@ -337,7 +365,7 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
     norm below 1e-300, which ``sample_ball`` would redraw, is redone by it.
     """
     rows = stop - start
-    spans = [slice(lo, lo + dim) for lo, dim in zip(_layer_offsets(dims), dims)]
+    spans = [slice(lo, lo + dim) for lo, dim in zip(layer_offsets(dims), dims)]
     if sum(dims) <= BULK_MAX_NORMALS:
         coords, u, redo = _bulk_chart_draws(rng.seed, dims, start, stop)
     else:
@@ -362,34 +390,6 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
         rng.rekey(start + row)
         coords[row] = np.concatenate([sample_ball(dim, rng).coords for dim in dims])
     return coords
-
-
-def _coset_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray:
-    """Stacked ``flag_unitary`` of each row's chart, one low-rank update per layer.
-
-    The layer on B^(2k) differs from the identity by a rank-two block on the
-    leading k+1 levels, [[1 - x x†/(1+s), x], [-x†, s]]. Before it is applied
-    the product is block-diagonal (W, identity) with W of size k, so the
-    product only changes in its leading (k+1) x (k+1) block, which becomes
-    [[W - x (x† W)/(1+s), x], [-x† W, s]]: O(k^2) work per layer instead of a
-    dense N x N product.
-    """
-    u = np.zeros((coords.shape[0], n_levels, n_levels), dtype=complex)
-    first = dims[0] // 2
-    u[:, range(first), range(first)] = 1.0
-    for lo, dim in zip(_layer_offsets(dims), dims):
-        k = dim // 2
-        layer = coords[:, lo : lo + dim]
-        x = layer[:, 0::2] + 1j * layer[:, 1::2]
-        r2 = np.einsum("ij,ij->i", layer, layer)
-        s = np.sqrt(np.maximum(1.0 - np.minimum(r2, 1.0), 0.0))
-        w = u[:, :k, :k]
-        xw = (x.conj()[:, None, :] @ w)[:, 0, :]
-        w -= x[:, :, None] * (xw / (1.0 + s)[:, None])[:, None, :]
-        u[:, :k, k] = x
-        u[:, k, :k] = -xw
-        u[:, k, k] = s
-    return u
 
 
 def _haar_unitaries(rng: RngStream, n_levels: int, start: int, stop: int) -> np.ndarray:
@@ -427,32 +427,6 @@ def _haar_unitaries(rng: RngStream, n_levels: int, start: int, stop: int) -> np.
     return u
 
 
-def _store_states(spectrum: Spectrum, unitaries: np.ndarray, out: np.ndarray, start: int) -> None:
-    """Write the states of ``unitaries`` into ``out``, checking their trace and unitarity.
-
-    Mirrors ``_state_from_unitary``: the basis is the unitary with its columns
-    reversed, raw = (basis * values) basis†, and the stored state is
-    (raw + raw†)/2, Hermitian bit for bit. The trace (to STATE_HERM_TOL) and
-    ‖basis† basis − I‖ (to STATE_RECON_TOL) are tested, naming the first
-    failing record. Once the basis is unitary the reconstruction residual
-    ‖raw − (raw + raw†)/2‖ is rounding-level, so it is not tested; finiteness
-    and exact Hermiticity are left to the ``StateBatch`` that ``batch_sample``
-    builds from the whole stack.
-    """
-    basis = unitaries[:, :, ::-1]
-    basis_h = basis.conj().transpose(0, 2, 1)
-    raw = (basis * spectrum.values) @ basis_h
-    np.add(raw, raw.conj().transpose(0, 2, 1), out=out)
-    out /= 2
-    del raw
-    unitary = np.linalg.norm(basis_h @ basis - np.eye(out.shape[-1]), axis=(1, 2))
-    checks = [
-        (np.abs(np.trace(out, axis1=1, axis2=2) - 1.0) > STATE_HERM_TOL, InvalidStateError, "trace is not 1"),
-        (unitary > STATE_RECON_TOL, InvalidStateError, "eigenbasis is not unitary to tolerance"),
-    ]
-    raise_first_failure(checks, start)
-
-
 def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> StateBatch:
     """StateBatch of ``count`` states, record i drawn from stream (seed, i).
 
@@ -477,6 +451,7 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
         if method == "haar":
             unitaries = _haar_unitaries(rng, n, start, stop)
         else:
-            unitaries = _coset_unitaries(n, dims, _draw_charts(rng, dims, start, stop))
-        _store_states(spectrum, unitaries, matrices[start:stop], start)
+            unitaries = flag_unitaries(n, dims, _draw_charts(rng, dims, start, stop))
+        # the basis of the unitary's ascending-ordered diagonal model, as in _state_from_unitary
+        store_states(spectrum, unitaries[:, :, ::-1], matrices[start:stop], start)
     return StateBatch(method, seed, spectrum, matrices)

@@ -104,7 +104,7 @@ def test_flag_chart_validates_ladder(spectrum3):
     with pytest.raises(ShapeError):
         FlagChart(())
     chart = FlagChart((BallPoint.zero(2), BallPoint.zero(4)))
-    assert chart.dims == (2, 4)
+    assert tuple(p.dim for p in chart.layers) == (2, 4)
     assert chart.n_levels == 3
 
 

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
+from bures.coset import matmul
 from bures.errors import NotHermitianError, ShapeError, SingularMatrixError
-from bures.linalg import (
-    hermitian_eig,
-    matmul,
-    qr_decompose,
-)
+from bures.measures import hermitian_eig
+from bures.sampling import qr_decompose
 
 from conftest import random_hermitian
 

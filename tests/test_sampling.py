@@ -203,15 +203,19 @@ def test_pattern_for_spectrum():
 
 def test_sample_flag_chart_follows_pattern():
     chart = sample_flag_chart(Spectrum([0.7, 0.3, 0.0, 0.0]), RngStream(15))
-    assert chart.dims == (4, 6)
+    assert tuple(p.dim for p in chart.layers) == (4, 6)
 
 
 def test_coset_ladder_of_repeated_eigenvalues():
     # repeated nonzero eigenvalues are charted by the ladder of their zero block
     rng = RngStream(16)
-    assert sample_flag_chart(Spectrum([0.4, 0.4, 0.2]), rng).dims == (2, 4)
-    assert sample_flag_chart(Spectrum([0.5, 0.5]), rng).dims == (2,)
-    assert sample_flag_chart(Spectrum([0.5, 0.5, 0.0, 0.0]), rng).dims == (4, 6)
+
+    def dims(values):
+        return tuple(p.dim for p in sample_flag_chart(Spectrum(values), rng).layers)
+
+    assert dims([0.4, 0.4, 0.2]) == (2, 4)
+    assert dims([0.5, 0.5]) == (2,)
+    assert dims([0.5, 0.5, 0.0, 0.0]) == (4, 6)
 
 
 # ------------------------------------------------------------------ batches
@@ -297,35 +301,41 @@ def _tilted(column, other):
     return tilted / np.linalg.norm(tilted)
 
 
+def _scaled(u):
+    return u[:, 0] * (1 + 1e-9)
+
+
 @pytest.mark.parametrize(
-    "change, message",
+    "changes, failing, message, blocks",
     [
         # a column of norm 1 + 1e-9 moves the trace by 1e-9 times its eigenvalue
-        (lambda u: u[:, 0] * (1 + 1e-9), "trace is not 1"),
+        ({1900: _scaled}, 1900, "trace is not 1", 2),
         # a unit column 1e-9 off orthogonal keeps the trace at 1
-        (lambda u: _tilted(u[:, 0], u[:, 1]), "eigenbasis is not unitary to tolerance"),
+        ({1900: lambda u: _tilted(u[:, 0], u[:, 1])}, 1900, "eigenbasis is not unitary to tolerance", 2),
+        # a NaN residual fails too, so the first block names record 100 before 1900
+        ({100: lambda u: np.nan, 1900: _scaled}, 100, "trace is not 1", 1),
     ],
-    ids=["column-scaled", "column-tilted"],
+    ids=["column-scaled", "column-tilted", "nan-before-column-scaled"],
 )
-def test_batch_sample_rejects_a_bad_unitary(spectrum3, monkeypatch, change, message):
-    # 2000 N=3 states: record 1900 lies in the second block
-    record = 1900
-    assert block_records(3) <= record
-    kernel = bures.sampling._coset_unitaries
+def test_batch_sample_rejects_a_bad_unitary(spectrum3, monkeypatch, changes, failing, message, blocks):
+    # 2000 N=3 states: record 100 lies in the first block, record 1900 in the second
+    assert 100 < block_records(3) <= 1900
+    kernel = bures.sampling.flag_unitaries
     done = []
 
     def one_column_off(n_levels, dims, coords):
         u = kernel(n_levels, dims, coords)
-        row = record - sum(done)
-        if 0 <= row < len(u):
-            u[row, :, 0] = change(u[row])
+        for record, change in changes.items():
+            row = record - sum(done)
+            if 0 <= row < len(u):
+                u[row, :, 0] = change(u[row])
         done.append(len(u))
         return u
 
-    monkeypatch.setattr(bures.sampling, "_coset_unitaries", one_column_off)
-    with pytest.raises(InvalidStateError, match=f"^record {record}: {message}$"):
+    monkeypatch.setattr(bures.sampling, "flag_unitaries", one_column_off)
+    with pytest.raises(InvalidStateError, match=f"^record {failing}: {message}$"):
         batch_sample("coset", spectrum3, 2000, 3)
-    assert len(done) == 2
+    assert len(done) == blocks
 
 
 # ------------------------------------------------- batch path vs scalar oracle
