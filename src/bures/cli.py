@@ -98,7 +98,7 @@ def _csv_header(n: int) -> list:
 
 
 #: Most records write_records formats as one text block. Below it the
-#: sampler's byte budget sets the block (``block_records``); the cap bounds the
+#: byte budget of ``block_records(N)`` sets the block; the cap bounds the
 #: strings a block holds at once (about 2N^2 per record), so that writing stays
 #: below the peak memory that reading a record file sets.
 WRITE_BLOCK_CAP = 64
@@ -179,10 +179,10 @@ def read_records(path) -> list:
     """Load a CSV or JSONL record file back into SampleRecord objects.
 
     The file becomes arrays a block of ``block_records(N)`` records at a
-    time, as the sampler makes them, each checked by ``_checked_block``, which
-    names the first failing record; the records equal those the per-record
-    constructors build, bit for bit. A malformed file raises UsageError naming
-    the file, and the line where it is known.
+    time, each checked by ``_checked_block``, which names the first failing
+    record; the records equal those the per-record constructors build, bit
+    for bit. A malformed file raises UsageError naming the file, and the
+    line where it is known.
     """
     records = []
     with _record_file(path) as (handle, jsonl, plain):

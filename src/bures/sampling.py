@@ -243,9 +243,10 @@ def sample_state_coset(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
     return SampleRecord("coset", rng.stream_index, rho)
 
 
-#: Working-set budget of one block of records: a block holds as many records
-#: as fit one (block, N, N) complex stack into this many bytes (at least one),
-#: so peak memory stays flat in the record count whatever N is. A block makes
+#: Working-set budget of one block of records: ``block_records(N)`` is as
+#: many records as fit one (block, N, N) complex stack into this many bytes
+#: (at least one), so peak memory stays flat in the record count whatever N
+#: is; coset sampling blocks have a floor (COSET_BLOCK_FLOOR). A block makes
 #: a handful of such stacks at once; at 1 MiB their churn raised the peak RSS
 #: of repeated N=3 runs by about 10%, at 256 KiB by about 2%.
 BLOCK_BYTES = 1 << 18
@@ -276,7 +277,7 @@ class StateBatch:
         if self.matrices.shape != (count, n, n):
             raise ShapeError(f"matrices {self.matrices.shape} do not hold {n}-level states")
         # block by block: a whole-stack conjugate transpose would raise peak memory
-        for start, stop in _blocks(count, n):
+        for start, stop in _blocks(count, block_records(n)):
             block = self.matrices[start:stop]
             hermitian = (block == block.conj().transpose(0, 2, 1)).all(axis=(1, 2))
             checks = [
@@ -308,9 +309,33 @@ def block_records(n_levels: int) -> int:
     return max(1, BLOCK_BYTES // (16 * n_levels * n_levels))
 
 
-def _blocks(count: int, n_levels: int):
-    """(start, stop) pairs covering range(count) in blocks of the byte budget."""
+#: Fewest records of a coset sampling block, while that many states fit
+#: COSET_BLOCK_FLOOR x BLOCK_BYTES. The flag product makes about 20 numpy
+#: calls per layer and block, N - 1 layers, so from N = 65 up, where
+#: ``block_records`` drops below 4, that overhead is paid for one to three
+#: records. With 4-record blocks the N=100 flag product took 1.9 instead of
+#: 3.0 ms per record (one BLAS thread, 2-CPU x86-64 VM), with the same bits.
+#: Haar blocks gained nothing.
+COSET_BLOCK_FLOOR = 4
+
+
+def sample_block_records(method: str, n_levels: int) -> int:
+    """Records per block of ``batch_sample``.
+
+    ``block_records(N)``, except that a coset block holds at least
+    min(COSET_BLOCK_FLOOR, states that fit COSET_BLOCK_FLOOR x BLOCK_BYTES)
+    records, which changes the block at N = 65-181 only. Every record is
+    computed on its own, so the block size does not change the bits.
+    """
     step = block_records(n_levels)
+    if method == "coset":
+        fit = COSET_BLOCK_FLOOR * BLOCK_BYTES // (16 * n_levels * n_levels)
+        step = max(step, min(COSET_BLOCK_FLOOR, fit))
+    return step
+
+
+def _blocks(count: int, step: int):
+    """(start, stop) pairs covering range(count) in blocks of ``step`` records."""
     for start in range(0, count, step):
         yield start, min(start + step, count)
 
@@ -447,7 +472,7 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
         raise ShapeError(f"cannot hold {count} states of {n} levels in memory") from exc
     rng = RngStream(seed)
     dims = coset_ladder(spectrum) if method == "coset" else ()
-    for start, stop in _blocks(count, n):
+    for start, stop in _blocks(count, sample_block_records(method, n)):
         if method == "haar":
             unitaries = _haar_unitaries(rng, n, start, stop)
         else:

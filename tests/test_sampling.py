@@ -14,6 +14,7 @@ from bures.sampling import (
     block_records,
     coset_ladder,
     sample_ball,
+    sample_block_records,
     sample_flag_chart,
     sample_haar_unitary,
     sample_interior_point,
@@ -408,13 +409,50 @@ def test_batch_count_prefix(method, spectrum4):
     assert np.array_equal(long.diagonals[:5], short.diagonals)
 
 
+def _linspace_spectrum(n):
+    values = np.linspace(2.0, 1.0, n)
+    return Spectrum(values / values.sum())
+
+
+def test_coset_prefix_crosses_a_floored_block():
+    # N=100 coset blocks hold 4 records: a count-9 batch is 4 + 4 + 1
+    spectrum = _linspace_spectrum(100)
+    assert sample_block_records("coset", 100) == 4
+    short = batch_sample("coset", spectrum, 3, 31)
+    long = batch_sample("coset", spectrum, 9, 31)
+    assert np.array_equal(long.matrices[:3], short.matrices)
+
+
+def test_sample_block_rule():
+    # arithmetic only: no block is built
+    changed = []
+    for n in range(2, 401):
+        base = block_records(n)
+        assert sample_block_records("haar", n) == base
+        step = sample_block_records("coset", n)
+        assert base <= step <= max(base, 4)
+        if step > base:
+            assert step * 16 * n * n <= 4 * BLOCK_BYTES
+            changed.append(n)
+    assert changed == list(range(65, 182))
+
+
+@pytest.mark.parametrize("n", [80, 100, 150])
+def test_coset_block_floor_keeps_the_bits(n, monkeypatch):
+    spectrum = _linspace_spectrum(n)
+    step = sample_block_records("coset", n)
+    assert step > block_records(n)
+    count = 2 * step + 1
+    floored = batch_sample("coset", spectrum, count, 5).matrices
+    monkeypatch.setattr(bures.sampling, "sample_block_records", lambda method, n_levels: 1)
+    assert np.array_equal(batch_sample("coset", spectrum, count, 5).matrices, floored)
+
+
 @pytest.mark.parametrize("method", ["coset", "haar"])
 def test_batch_spanning_several_blocks_matches_oracle(method):
     n = 100
-    values = np.linspace(2.0, 1.0, n)
-    spectrum = Spectrum(values / values.sum())
-    per_block = BLOCK_BYTES // (16 * n * n)
-    count = 2 * per_block + 2
+    spectrum = _linspace_spectrum(n)
+    count = 2 * sample_block_records(method, n) + 2
     batch = batch_sample(method, spectrum, count, 4)
     assert np.max(np.abs(batch.matrices - scalar_states(method, spectrum, 4, count))) <= 1e-13
 
