@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floattext
 from .coset import BallPoint, coset_jacobian_det, euler_coset_volume
 from .errors import BuresError
 from .measures import (
@@ -31,6 +32,7 @@ from .measures import (
     flag_volume_sz,
 )
 from .sampling import (
+    BLOCK_BYTES,
     METHODS,
     RngStream,
     SampleRecord,
@@ -97,64 +99,134 @@ def _csv_header(n: int) -> list:
     return ["method", "index"] + _entry_labels("re", n) + _entry_labels("im", n) + _diag_labels(n)
 
 
-#: Most records write_records formats as one text block. Below it the
-#: byte budget of ``block_records(N)`` sets the block; the cap bounds the
-#: strings a block holds at once (about 2N^2 per record), so that writing stays
-#: below the peak memory that reading a record file sets.
-WRITE_BLOCK_CAP = 64
+#: Most values write_records formats as one text block: as many as the texts
+#: of BLOCK_BYTES hold (10,922). A block takes whole records, at least one.
+#: The block's word arrays and temporaries take about 330 bytes per value, so
+#: writing stays below the peak that reading the same file sets; in a sweep
+#: from 1,024 to 65,536 values, N=3 and N=10 writes were no faster above
+#: about 8,000 values and only used more memory.
+WRITE_BLOCK_VALUES = BLOCK_BYTES // _floattext.WIDTH
+
+#: Words of one float text.
+_TEXT_WORDS = _floattext.WIDTH // 8
 
 
-def _text_blocks(batch: StateBatch, fmt):
-    """(stream indices, entry texts (B, 2, N, N), rho_jj texts (B, N)) per text block of ``batch``.
+def _literal(text: str) -> np.ndarray:
+    """``text`` NUL-padded to whole words."""
+    raw = text.encode()
+    return _floattext.words(np.frombuffer(raw.ljust(-(-len(raw) // 8) * 8, b"\0"), np.uint8))
 
-    Entry texts hold Re then Im of each state as ``fmt`` formats them. The
-    states of a StateBatch are finite and Hermitian bit for bit, so |Re| and
-    |Im| of an entry equal those of its mirror: each magnitude on and above
-    the diagonal is formatted once and every entry takes its own sign. The
-    rho_jj texts are those of the Re diagonal.
+
+def _run(entries, separators: list, codes) -> tuple:
+    """A run of fields, each its separator, its sign and its text: (entries, codes, prefixes).
+
+    ``entries`` index the record's Re/Im stack and field i follows
+    ``separators[codes[i]]``. The prefixes (2, separators, words) hold each
+    separator right-aligned, so that it touches the text after it: alone for
+    a nonnegative entry and followed by "-" for a negative one.
+    """
+    entries = np.asarray(entries, dtype=np.intp).ravel()
+    codes = np.asarray(codes, dtype=np.intp).ravel()
+    width = -(-(max(map(len, separators)) + 1) // 8) * 8
+    prefixes = [[_literal(sep.rjust(width, "\0")) for sep in separators],
+                [_literal((sep + "-").rjust(width, "\0")) for sep in separators]]
+    return entries, codes, np.array(prefixes)
+
+
+def _text_layout(n: int, fmt: str, method: str) -> list:
+    """The pieces of a record's text: literal words, None for the record index, and ``_run``s.
+
+    Entry (p, j, k) of a record's stack is p * N^2 + j * N + k: Re of rho_jk
+    for p = 0, Im for p = 1.
+    """
+    grid = np.arange(2 * n * n).reshape(2, n, n)
+    diagonal = np.diagonal(grid[0])
+    if fmt == "csv":
+        entries = np.concatenate((grid.ravel(), diagonal))
+        return [_literal(method + ","), None, _run(entries, [","], np.zeros(len(entries))), _literal("\n")]
+    # "" before the first entry, "," inside a row and "],[" between rows
+    row = np.ones((n, n), np.intp)
+    row[:, 0] = 2
+    row[0, 0] = 0
+    labels = _diag_labels(n)
+    return [
+        _literal('{"method":' + json.dumps(method) + ',"index":'),
+        None,
+        _literal(',"re":[['),
+        _run(grid[0], ["", ",", "],["], row),
+        _literal(']],"im":[['),
+        _run(grid[1], ["", ",", "],["], row),
+        _literal(']],"observables":{'),
+        _run(diagonal, [f'"{labels[0]}":'] + [f',"{label}":' for label in labels[1:]], np.arange(n)),
+        _literal("}}\n"),
+    ]
+
+
+def _width(piece) -> int:
+    """Words of a record that ``piece`` of ``_text_layout`` takes."""
+    if piece is None:
+        return 2
+    if isinstance(piece, np.ndarray):
+        return len(piece)
+    entries, _, prefixes = piece
+    return len(entries) * (prefixes.shape[2] + _TEXT_WORDS)
+
+
+def _write_text(batch: StateBatch, handle, fmt: str) -> None:
+    """Write ``batch`` a block at a time, each block as one array of words and one ``write``.
+
+    The states of a StateBatch are finite and Hermitian bit for bit, so |Re|
+    and |Im| of an entry equal those of its mirror: each magnitude on and
+    above the diagonal is formatted once, every entry takes its own sign, and
+    the rho_jj cells repeat the Re diagonal. The NUL bytes around the texts
+    are dropped as the block is written.
     """
     n = batch.n_levels
+    pieces = _text_layout(n, fmt, batch.method)
+    widths = [_width(piece) for piece in pieces]
+    ends = np.cumsum(widths)
     upper = np.triu_indices(n)
     size = len(upper[0])
     slot = np.empty((n, n), dtype=np.intp)
     slot[upper] = slot[upper[::-1]] = np.arange(size)
-    step = min(WRITE_BLOCK_CAP, block_records(n))
+    # the text of each entry among the 2 * size formatted for its record
+    text_of = np.concatenate((slot.ravel(), size + slot.ravel()))
+    step = max(1, WRITE_BLOCK_VALUES // (2 * size))
     for start in range(0, len(batch), step):
         matrices = batch.matrices[start : start + step]
+        count = len(matrices)
         parts = np.stack((matrices.real, matrices.imag), axis=1)
-        mags = np.abs(parts[:, :, upper[0], upper[1]])
-        plain = np.array(list(map(fmt, mags.ravel().tolist())), dtype=object)
-        signed = np.concatenate((plain, np.add("-", plain)))
-        first = np.arange(2 * len(matrices)).reshape(-1, 2, 1, 1) * size
-        texts = signed[first + slot + np.signbit(parts) * plain.size]
-        yield batch.indices[start : start + step], texts, np.diagonal(texts[:, 0], axis1=1, axis2=2)
-
-
-#: Float text of the CSV format.
-_csv_float = "%.17g".__mod__
+        # json.dumps writes floats as repr, the CSV format as %.17g
+        texts = _floattext.texts(np.abs(parts[:, :, upper[0], upper[1]]).ravel(), fmt == "jsonl")
+        signs = np.signbit(parts).reshape(count, -1)
+        first = np.arange(count)[:, None] * (2 * size)
+        cells = np.empty((count, ends[-1]), np.uint64)
+        for piece, end, width in zip(pieces, ends, widths):
+            into = cells[:, end - width : end]
+            if piece is None:
+                into[:] = _floattext.integer_texts(np.arange(start, start + count))
+            elif isinstance(piece, np.ndarray):
+                into[:] = piece
+            else:
+                entries, codes, prefixes = piece
+                fields = into.reshape(count, len(entries), -1)
+                fields[:, :, :-_TEXT_WORDS] = prefixes[signs[:, entries].astype(np.intp), codes]
+                fields[:, :, -_TEXT_WORDS:] = texts[first + text_of[entries]]
+        data = _floattext.text_bytes(cells).ravel()
+        handle.write(data[data != 0].tobytes().decode("ascii"))
 
 
 def write_records_csv(batch: StateBatch, path) -> None:
     """One header line, then per record: method, index, Re rho, Im rho (row-major), rho_jj."""
-    head = batch.method + ","
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_csv_header(batch.n_levels)) + "\n")
-        for indices, texts, diag in _text_blocks(batch, _csv_float):
-            rows = np.concatenate((texts.reshape(len(texts), -1), diag), axis=1).tolist()
-            handle.write("".join(f"{head}{index},{','.join(row)}\n" for index, row in zip(indices, rows)))
+        _write_text(batch, handle, "csv")
 
 
 def write_records_jsonl(batch: StateBatch, path) -> None:
     """One JSON object per record: method, index, re and im as nested rows, rho_jj observables."""
-    observables = ",".join(f'"{label}":%s' for label in _diag_labels(batch.n_levels))
-    line = '{"method":' + json.dumps(batch.method) + ',"index":%d,"re":[[%s]],"im":[[%s]],"observables":{'
-    line += observables + "}}\n"
     with open(path, "w") as handle:
-        for indices, texts, diag in _text_blocks(batch, float.__repr__):
-            handle.write("".join(
-                line % (index, "],[".join(map(",".join, re)), "],[".join(map(",".join, im)), *rho)
-                for index, (re, im), rho in zip(indices, texts.tolist(), diag.tolist())
-            ))
+        _write_text(batch, handle, "jsonl")
 
 
 def write_records(batch: StateBatch, path, fmt: str) -> None:
@@ -163,9 +235,14 @@ def write_records(batch: StateBatch, path, fmt: str) -> None:
     The bytes are those of formatting each record on its own: json.dumps of
     the record object with separators (",", ":") for JSONL, a %.17g cell per
     float for CSV. Text is built a block of records at a time, formatting each
-    distinct entry magnitude of the Hermitian states once. ``StateBatch``
-    admits only finite, exactly Hermitian states, so every file written here
-    passes ``read_records``' finiteness and Hermiticity checks.
+    distinct entry magnitude of the Hermitian states once. ``bures._floattext``
+    spells the magnitudes in [1e-10, 1) from integer arithmetic in numpy, exactly
+    as ``float.__repr__`` or ``'%.17g'`` would; Python formats, value by value,
+    every value that path does not prove (about 6 in 10,000 of sampled entries).
+    Separators, signs and texts go into one array of words per block, whose NUL
+    bytes are dropped as it is written. ``StateBatch`` admits only finite,
+    exactly Hermitian states, so every file written here passes
+    ``read_records``' finiteness and Hermiticity checks.
     """
     if fmt == "csv":
         write_records_csv(batch, path)

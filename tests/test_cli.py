@@ -110,9 +110,9 @@ class _Sink:
         self.write = lines.append
 
 
-def _edited_batch(method, edit):
-    """150 N=4 states (three text blocks) with ``edit`` applied to the stack."""
-    sampled = batch_sample(method, Spectrum([0.7, 0.3, 0.0, 0.0]), 150, 9)
+def _edited_batch(method, edit, spectrum=(0.7, 0.3, 0.0, 0.0)):
+    """150 N=4 states with ``edit`` applied to the stack."""
+    sampled = batch_sample(method, Spectrum(list(spectrum)), 150, 9)
     matrices = sampled.matrices.copy()
     edit(matrices)
     return StateBatch(method, 9, sampled.spectrum, matrices)
@@ -144,12 +144,22 @@ def _zero_diagonal(m):
     m[9, 3, 3] = 0.0
 
 
+def _pure_specials(m):
+    # exact 1.0 and 0 entries, a %.17g tie (2^-25), both sides of the
+    # positional/exponent switch at 1e-4, a power of two and a negative zero
+    m[0] = np.diag([1.0, 0.0, 0.0, 0.0])
+    for j, value in enumerate((2.0**-25, 1e-4, np.nextafter(1e-4, 0.0), 0.25)):
+        m[1 + j, j, j] = value
+    m[5, 2, 2] = -0.0
+
+
 @pytest.mark.parametrize("method", ["coset", "haar"])
 def test_write_records_bytes_match_the_per_record_format(tmp_path, method):
     cases = {
         "specials": _edited_batch(method, _specials),
         "im-zero-pair": _edited_batch(method, _zero_im_pair),
         "zero-diagonal": _edited_batch(method, _zero_diagonal),
+        "pure": _edited_batch(method, _pure_specials, (1.0, 0.0, 0.0, 0.0)),
         "n10-zero-block": batch_sample(method, Spectrum([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0, 0, 0]), 150, 4),
         # one N=100 record per text block
         "n100": batch_sample(method, Spectrum(np.arange(1.0, 101.0) / 5050), 3, 4),
