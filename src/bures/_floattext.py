@@ -192,23 +192,26 @@ def texts(x: np.ndarray, shortest: bool) -> np.ndarray:
         # Rounded at 10^j, with a = quotient mod 10^j, the candidate rounded
         # down lies a 2^s + remainder below x 10^k 2^s and the one rounded up
         # (10^j - a) 2^s - remainder above it; either reads back when that is
-        # at most floor(5^k / 2). Reading back is monotone in the digit count.
+        # at most floor(5^k / 2). Reading back is monotone in the digit count,
+        # so each round tries only the values whose last candidate read back.
         proven &= (bits & _MANTISSA) != 0
         bound = _POW5[k] >> _ONE
         fits = bound >= remainder
         below = (bound - remainder) >> s
         above = (bound + remainder) >> s
-        back = np.ones(len(x), bool)
+        alive = np.arange(len(x))
         for power in _POW10[1:5]:
             low = quotient // power * power
             a = quotient - low
             twice = a << _ONE
             midway = twice == power
-            tie |= back & midway & (remainder == 0)
+            tie[alive[midway & (remainder == 0)]] = True
             up = (twice > power) | (midway & (remainder != 0))
-            back &= np.where(up, power - a <= above, fits & (a <= below))
-            n = np.where(back, low + up * power, n)
-        tie |= back
+            keep = np.flatnonzero(np.where(up, power - a <= above, fits & (a <= below)))
+            alive = alive[keep]
+            n[alive] = low[keep] + up[keep] * power
+            quotient, remainder, fits, below, above = (v[keep] for v in (quotient, remainder, fits, below, above))
+        tie[alive] = True
     proven &= ~tie & (n >= _POW10[16]) & (n < _POW10[17])
     out = _digits(n, exponent)
     zero = x == 0

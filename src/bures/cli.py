@@ -99,8 +99,9 @@ def _csv_header(n: int) -> list:
     return ["method", "index"] + _entry_labels("re", n) + _entry_labels("im", n) + _diag_labels(n)
 
 
-#: Most values write_records formats as one text block: as many as the texts
-#: of BLOCK_BYTES hold (10,922). A block takes whole records, at least one.
+#: Most values write_records or compare's QQ sidecar formats as one text
+#: block: as many as the texts of BLOCK_BYTES hold (10,922). A block takes
+#: whole records (or pairs), at least one.
 #: The block's word arrays and temporaries take about 330 bytes per value, so
 #: writing stays below the peak that reading the same file sets; in a sweep
 #: from 1,024 to 65,536 values, N=3 and N=10 writes were no faster above
@@ -117,33 +118,43 @@ def _literal(text: str) -> np.ndarray:
     return _floattext.words(np.frombuffer(raw.ljust(-(-len(raw) // 8) * 8, b"\0"), np.uint8))
 
 
-def _run(entries, separators: list, codes) -> tuple:
-    """A run of fields, each its separator, its sign and its text: (entries, codes, prefixes).
+def _run(entries, text_of, separators: list, codes) -> tuple:
+    """A run of fields, each its separator, its sign and its text: (entries, texts, plain, minus).
 
-    ``entries`` index the record's Re/Im stack and field i follows
-    ``separators[codes[i]]``. The prefixes (2, separators, words) hold each
-    separator right-aligned, so that it touches the text after it: alone for
-    a nonnegative entry and followed by "-" for a negative one.
+    ``entries`` index a record's values and field i shows the sign of value
+    ``entries[i]`` and text ``text_of[entries[i]]`` of the record's
+    magnitudes, after ``separators[codes[i]]``. The prefix words (fields,
+    words) hold that separator right-aligned, so that it touches the text
+    after it: alone in ``plain``, followed by "-" in ``minus``.
     """
     entries = np.asarray(entries, dtype=np.intp).ravel()
     codes = np.asarray(codes, dtype=np.intp).ravel()
     width = -(-(max(map(len, separators)) + 1) // 8) * 8
-    prefixes = [[_literal(sep.rjust(width, "\0")) for sep in separators],
-                [_literal((sep + "-").rjust(width, "\0")) for sep in separators]]
-    return entries, codes, np.array(prefixes)
+    plain = np.array([_literal(sep.rjust(width, "\0")) for sep in separators])
+    minus = np.array([_literal((sep + "-").rjust(width, "\0")) for sep in separators])
+    return entries, text_of[entries], plain[codes], minus[codes]
 
 
 def _text_layout(n: int, fmt: str, method: str) -> list:
     """The pieces of a record's text: literal words, None for the record index, and ``_run``s.
 
     Entry (p, j, k) of a record's stack is p * N^2 + j * N + k: Re of rho_jk
-    for p = 0, Im for p = 1.
+    for p = 0, Im for p = 1. The states are Hermitian bit for bit, so |Re|
+    and |Im| of an entry equal those of its mirror: a record's magnitudes are
+    |Re| then |Im| of the entries on and above the diagonal, row by row, and
+    every entry shows the text at its own slot or its mirror's, with its own
+    sign. The rho_jj cells repeat the Re diagonal.
     """
     grid = np.arange(2 * n * n).reshape(2, n, n)
+    upper = np.triu_indices(n)
+    size = len(upper[0])
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[upper] = slot[upper[::-1]] = np.arange(size)
+    text_of = np.concatenate((slot.ravel(), size + slot.ravel()))
     diagonal = np.diagonal(grid[0])
     if fmt == "csv":
         entries = np.concatenate((grid.ravel(), diagonal))
-        return [_literal(method + ","), None, _run(entries, [","], np.zeros(len(entries))), _literal("\n")]
+        return [_literal(method + ","), None, _run(entries, text_of, [","], np.zeros(len(entries))), _literal("\n")]
     # "" before the first entry, "," inside a row and "],[" between rows
     row = np.ones((n, n), np.intp)
     row[:, 0] = 2
@@ -153,67 +164,72 @@ def _text_layout(n: int, fmt: str, method: str) -> list:
         _literal('{"method":' + json.dumps(method) + ',"index":'),
         None,
         _literal(',"re":[['),
-        _run(grid[0], ["", ",", "],["], row),
+        _run(grid[0], text_of, ["", ",", "],["], row),
         _literal(']],"im":[['),
-        _run(grid[1], ["", ",", "],["], row),
+        _run(grid[1], text_of, ["", ",", "],["], row),
         _literal(']],"observables":{'),
-        _run(diagonal, [f'"{labels[0]}":'] + [f',"{label}":' for label in labels[1:]], np.arange(n)),
+        _run(diagonal, text_of, [f'"{labels[0]}":'] + [f',"{label}":' for label in labels[1:]], np.arange(n)),
         _literal("}}\n"),
     ]
 
 
 def _width(piece) -> int:
-    """Words of a record that ``piece`` of ``_text_layout`` takes."""
+    """Words of a record that ``piece`` of a layout takes."""
     if piece is None:
         return 2
     if isinstance(piece, np.ndarray):
         return len(piece)
-    entries, _, prefixes = piece
-    return len(entries) * (prefixes.shape[2] + _TEXT_WORDS)
+    entries, _, plain, _ = piece
+    return len(entries) * (plain.shape[1] + _TEXT_WORDS)
+
+
+def _block_text(pieces: list, shortest: bool, start: int, magnitudes: np.ndarray, signs: np.ndarray) -> str:
+    """The text of one block of records, built as one array of words.
+
+    ``pieces`` lay out one record (see ``_text_layout``); the records are
+    ``start`` on. ``magnitudes`` (records, texts) are the nonnegative doubles
+    their texts spell (``repr`` if ``shortest``, else ``%.17g``) and
+    ``signs`` (records, values) the sign bits of their values. The NUL bytes
+    around the texts are dropped.
+    """
+    count, per_record = magnitudes.shape
+    texts = _floattext.texts(magnitudes.ravel(), shortest)
+    first = np.arange(count)[:, None] * per_record
+    widths = [_width(piece) for piece in pieces]
+    ends = np.cumsum(widths)
+    cells = np.empty((count, ends[-1]), np.uint64)
+    for piece, end, width in zip(pieces, ends, widths):
+        into = cells[:, end - width : end]
+        if piece is None:
+            into[:] = _floattext.integer_texts(np.arange(start, start + count))
+        elif isinstance(piece, np.ndarray):
+            into[:] = piece
+        else:
+            entries, text_index, plain, minus = piece
+            fields = into.reshape(count, len(entries), -1)
+            fields[:, :, :-_TEXT_WORDS] = np.where(signs[:, entries, None], minus, plain)
+            fields[:, :, -_TEXT_WORDS:] = np.take(texts, first + text_index, axis=0)
+    data = _floattext.text_bytes(cells).ravel()
+    return data[data != 0].tobytes().decode("ascii")
 
 
 def _write_text(batch: StateBatch, handle, fmt: str) -> None:
-    """Write ``batch`` a block at a time, each block as one array of words and one ``write``.
+    """Write ``batch`` a block of whole records at a time, each block one ``_block_text``.
 
-    The states of a StateBatch are finite and Hermitian bit for bit, so |Re|
-    and |Im| of an entry equal those of its mirror: each magnitude on and
-    above the diagonal is formatted once, every entry takes its own sign, and
-    the rho_jj cells repeat the Re diagonal. The NUL bytes around the texts
-    are dropped as the block is written.
+    A record's magnitudes are |Re| then |Im| of its entries on and above the
+    diagonal (see ``_text_layout``).
     """
     n = batch.n_levels
     pieces = _text_layout(n, fmt, batch.method)
-    widths = [_width(piece) for piece in pieces]
-    ends = np.cumsum(widths)
     upper = np.triu_indices(n)
-    size = len(upper[0])
-    slot = np.empty((n, n), dtype=np.intp)
-    slot[upper] = slot[upper[::-1]] = np.arange(size)
-    # the text of each entry among the 2 * size formatted for its record
-    text_of = np.concatenate((slot.ravel(), size + slot.ravel()))
-    step = max(1, WRITE_BLOCK_VALUES // (2 * size))
+    step = max(1, WRITE_BLOCK_VALUES // (2 * len(upper[0])))
     for start in range(0, len(batch), step):
         matrices = batch.matrices[start : start + step]
-        count = len(matrices)
         parts = np.stack((matrices.real, matrices.imag), axis=1)
+        magnitudes = np.abs(parts[:, :, upper[0], upper[1]]).reshape(len(parts), -1)
+        signs = np.signbit(parts).reshape(len(parts), -1)
         # json.dumps writes floats as repr, the CSV format as %.17g
-        texts = _floattext.texts(np.abs(parts[:, :, upper[0], upper[1]]).ravel(), fmt == "jsonl")
-        signs = np.signbit(parts).reshape(count, -1)
-        first = np.arange(count)[:, None] * (2 * size)
-        cells = np.empty((count, ends[-1]), np.uint64)
-        for piece, end, width in zip(pieces, ends, widths):
-            into = cells[:, end - width : end]
-            if piece is None:
-                into[:] = _floattext.integer_texts(np.arange(start, start + count))
-            elif isinstance(piece, np.ndarray):
-                into[:] = piece
-            else:
-                entries, codes, prefixes = piece
-                fields = into.reshape(count, len(entries), -1)
-                fields[:, :, :-_TEXT_WORDS] = prefixes[signs[:, entries].astype(np.intp), codes]
-                fields[:, :, -_TEXT_WORDS:] = texts[first + text_of[entries]]
-        data = _floattext.text_bytes(cells).ravel()
-        handle.write(data[data != 0].tobytes().decode("ascii"))
+        handle.write(_block_text(pieces, fmt == "jsonl", start, magnitudes, signs))
 
 
 def write_records_csv(batch: StateBatch, path) -> None:
@@ -623,6 +639,22 @@ def cmd_volume(n: int) -> int:
     return EXIT_OK
 
 
+def _write_pairs(pairs: np.ndarray, path) -> None:
+    """The QQ sidecar: an ``a,b`` header, then one row of two %.17g cells per pair.
+
+    Written by the record files' ``_block_text``, one pair a record, in
+    blocks of ``WRITE_BLOCK_VALUES // 2`` pairs; the bytes are those of a
+    csv.writer row per pair.
+    """
+    layout = [_run([0, 1], np.arange(2), ["", ","], [0, 1]), _literal("\n")]
+    step = WRITE_BLOCK_VALUES // 2
+    with open(path, "w", newline="") as handle:
+        handle.write("a,b\n")
+        for start in range(0, len(pairs), step):
+            block = pairs[start : start + step]
+            handle.write(_block_text(layout, False, start, np.abs(block), np.signbit(block)))
+
+
 def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
     a = read_column(a_path, column)
     b = read_column(b_path, column)
@@ -631,11 +663,10 @@ def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
         stem_a = Path(a_path).stem
         stem_b = Path(b_path).stem
         pairs_out = Path(a_path).with_name(f"{stem_a}_vs_{stem_b}_pairs.csv")
-    # the sidecar is written before any of the report, so an I/O failure prints none of it
+    # the sidecar is written before any of the report, so an I/O failure prints
+    # none of it; its blocks go through the record files' writer (_write_pairs)
     if a.size == b.size:
-        pairs = cumulative_pairs(a, b)
-        with open(pairs_out, "w", newline="") as handle:
-            handle.write("a,b\n" + ("%.17g,%.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
+        _write_pairs(cumulative_pairs(a, b), pairs_out)
         pairs_line = f"pairs written to {pairs_out}"
     else:
         pairs_line = "pairs skipped (sample sizes differ)"

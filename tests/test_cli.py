@@ -521,6 +521,29 @@ def test_compare_pairs_bytes_match_the_per_pair_format(tmp_path):
     assert target.read_bytes() == legacy_pairs_bytes(cumulative_pairs(a, b))
 
 
+def test_compare_pairs_bytes_match_across_write_blocks(tmp_path):
+    # signed zeros, subnormals, a value below 1e-10, the %.17g tie 2^-25 and
+    # values of 1 or more take Python's fallback, and every value but -0.0
+    # also appears negated; the 12,000 pairs span three write blocks
+    specials = [0.0, 5e-324, 2.5e-310, 1e-11, 2.0**-25, 1.0, 3.5, 1e300]
+    specials = np.repeat([-0.0] + specials + [-v for v in specials[1:]], 20)
+    count = 12_000
+    assert count > 2 * (cli.WRITE_BLOCK_VALUES // 2)
+    rng = np.random.default_rng(21)
+
+    def sample():
+        scaled = rng.uniform(-1.0, 1.0, count - len(specials)) * 10.0 ** rng.uniform(-12, 2, count - len(specials))
+        return rng.permutation(np.concatenate([specials, scaled]))
+
+    a, b = sample(), sample()
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.jsonl"
+    a_path.write_text("method,index,rho_33\n" + "".join(f"coset,{i},{v:.17g}\n" for i, v in enumerate(a)))
+    b_path.write_text("".join(json.dumps({"observables": {"rho_33": v}}) + "\n" for v in b.tolist()))
+    target = tmp_path / "pairs.csv"
+    assert main(["compare", str(a_path), str(b_path), "--pairs-out", str(target)]) in (0, 1)
+    assert target.read_bytes() == legacy_pairs_bytes(cumulative_pairs(a, b))
+
+
 # ------------------------------------------------------------------- reader
 
 
