@@ -351,10 +351,18 @@ def _c_pass(handle, dtype, columns):
         return None  # the caller's row parser then raises, with no loadtxt context
 
 
+def _header_row(reader, path):
+    """The first non-blank row of a CSV ``reader``, or None; as among data rows, a row of spaces is not blank."""
+    with _csv_errors(reader, path):
+        return next(filter(None, reader), None)
+
+
 def _past_header(handle) -> None:
     """Put a plain CSV ``handle`` back where its csv reader stood before a C pass read on."""
     handle.seek(0)
-    next(handle)  # with no quote in the file the header is one line, so the reader's line count holds
+    # with no quote in the file every row is one line, and csv reads a line of
+    # a line break alone as a blank row, so the reader's line count holds
+    next(line for line in handle if line.strip("\r\n"))
 
 
 def _csv_blocks(handle, plain: bool, path):
@@ -368,8 +376,7 @@ def _csv_blocks(handle, plain: bool, path):
     raises naming the line.
     """
     reader = csv.reader(handle)
-    with _csv_errors(reader, path):
-        header = next(reader, None)
+    header = _header_row(reader, path)
     if header is None:
         return
     n = _header_levels(header, path)
@@ -571,8 +578,7 @@ def read_column(path, column: str) -> np.ndarray:
             cells = [_observable(payload, column, path) for _, payload in objects]
         else:
             reader = csv.reader(handle)
-            with _csv_errors(reader, path):
-                header = next(reader, None)
+            header = _header_row(reader, path)
             cells = []
             if header is not None:
                 columns = _label_columns(header, [column], path)

@@ -6,17 +6,18 @@ output is reproducible bit for bit regardless of execution order.
 
 ``batch_sample`` is the columnar path. It draws from stream (seed, i)
 exactly what the scalar samplers below draw for record i, and builds the
-states of a whole block of records with stacked array operations. For
-records of few draws it computes the draws of a whole block from the
-streams' Philox words (``bures.philox``) and re-keys one generator only for
-the records those words cannot give; otherwise it re-keys it per record. A
-re-key assigns the one restart state the stream keeps, and a re-keyed record
-writes its normals and uniforms in place into the block's rows. The complex
-Ginibre stack, and the ball norms and radii, are then assembled once per
-block for all rows. The scalar samplers, with the checked QR and its pivot
-floor, stay beside the batch kernels as the reference they are tested
-against; a block's flag product and states come from ``coset.flag_unitaries``
-and ``measures.store_states``, each beside its per-record twin.
+states of a whole block of records with stacked array operations. A Haar
+record, and a coset record of many draws, re-keys one generator to its
+stream: a re-key assigns the one restart state the stream keeps, and the
+record writes its normals and uniforms in place into the block's rows. For
+coset records of few draws the draws of a whole block come from the streams'
+Philox words (``bures.philox``), and only the records those words cannot give
+re-key the generator. The complex Ginibre stack, and the ball norms and
+radii, are then assembled once per block for all rows. The scalar samplers,
+with the checked QR and its pivot floor, stay beside the batch kernels as the
+reference they are tested against; a block's flag product and states come
+from ``coset.flag_unitaries`` and ``measures.store_states``, each beside its
+per-record twin.
 """
 
 import math
@@ -340,24 +341,14 @@ def _blocks(count: int, step: int):
         yield start, min(start + step, count)
 
 
-#: Most normal draws per record for which the bulk draw path runs. A normal
-#: leaves numpy's ziggurat fast path with probability about 1.5% (``KI``),
-#: and a record with such a draw is redrawn on its own stream, so a record of
-#: n normals falls back with probability 1 - 0.985^n: about 9% at 6 normals
-#: (coset, N=3), 24% at 18 (Haar, N=3), 38% at 32 (Haar, N=4), 47% at 42
-#: (coset, N=7) and 57% at 56 (coset, N=8). Timed against per-record draws,
-#: bulk was the faster for coset up to N=7 (about even at N=8) and for Haar
-#: N=2, and 12-17% the slower for Haar N=3 and N=4, whose per-record rows
-#: make one generator call where a coset row makes two per layer. End to end
-#: that loss does not show (N=3 Haar ``bures sample`` calls were faster in
-#: bulk in most alternating pairs), so the gate sits at the largest coset
-#: ladder that gains.
+#: Most normal draws per coset record for which the bulk draw path runs. A
+#: normal leaves numpy's ziggurat fast path with probability about 1.5%
+#: (``KI``), and a record with such a draw is redrawn on its own stream, so a
+#: record of n normals falls back with probability 1 - 0.985^n: about 9% at 6
+#: normals (N=3), 47% at 42 (N=7) and 57% at 56 (N=8). Timed against
+#: per-record draws, bulk was the faster up to N=7 and about even at N=8, so
+#: the gate sits at N=7.
 BULK_MAX_NORMALS = 42
-
-
-def _bulk_words(seed: int, start: int, stop: int, draws: int) -> np.ndarray:
-    """The first ``draws`` words of the streams (seed, start)..(seed, stop - 1), one row each."""
-    return philox_words(seed, start, stop, -(-draws // 4))[:, :draws]
 
 
 def _bulk_chart_draws(seed: int, dims: tuple, start: int, stop: int):
@@ -368,7 +359,8 @@ def _bulk_chart_draws(seed: int, dims: tuple, start: int, stop: int):
     layers) the uniforms, and ``redo`` lists the rows with a normal off the
     ziggurat fast path, whose draws here are not numpy's.
     """
-    words = _bulk_words(seed, start, stop, sum(dims) + len(dims))
+    draws = sum(dims) + len(dims)
+    words = philox_words(seed, start, stop, -(-draws // 4))[:, :draws]
     ends = np.cumsum(np.add(dims, 1)) - 1
     # np.take keeps the rows C-contiguous, which in-place draws into a row need
     directions, fast = normals(np.take(words, np.delete(np.arange(words.shape[1]), ends), axis=1))
@@ -420,24 +412,17 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
 def _haar_unitaries(rng: RngStream, n_levels: int, start: int, stop: int) -> np.ndarray:
     """Stacked ``sample_haar_unitary`` for records start..stop-1.
 
-    Each row holds a record's 2N² normals, the real block first. Up to
-    BULK_MAX_NORMALS normals per record they come from the streams' words,
-    and a record with a normal off the ziggurat fast path re-keys ``rng``
-    and draws its row in place; above it every record does. The complex
+    Each record re-keys ``rng`` and draws its 2N² normals, the real block
+    first, in place into its row with one generator call. The complex
     Ginibre stack is built once from all rows. One QR runs over the whole
     stack and the phases are fixed by the diagonal of each R. A record whose
     R has a pivot at or below PIVOT_FLOOR is redone by the scalar sampler on
-    a fresh stream (seed, index), which replays the same first draw and then
-    the same retry.
+    its re-keyed stream, which replays the same first draw and then the same
+    retry.
     """
-    draws = 2 * n_levels * n_levels
-    if draws <= BULK_MAX_NORMALS:
-        x, fast = normals(_bulk_words(rng.seed, start, stop, draws))
-        redo = np.flatnonzero(~fast.all(axis=1)).tolist()
-    else:
-        x, redo = np.empty((stop - start, draws)), range(stop - start)
+    x = np.empty((stop - start, 2 * n_levels * n_levels))
     draw = rng._generator.standard_normal
-    for row in redo:
+    for row in range(stop - start):
         rng.rekey(start + row)
         draw(out=x[row])
     x = x.reshape(stop - start, 2, n_levels, n_levels)
@@ -447,8 +432,9 @@ def _haar_unitaries(rng: RngStream, n_levels: int, start: int, stop: int) -> np.
     mag = np.abs(d)
     singular = mag <= PIVOT_FLOOR
     u = q * (d / np.where(singular, 1.0, mag))[:, None, :]
-    for row in np.flatnonzero(singular.any(axis=1)):
-        u[row] = sample_haar_unitary(n_levels, RngStream(rng.seed, start + int(row)))
+    for row in np.flatnonzero(singular.any(axis=1)).tolist():
+        rng.rekey(start + row)
+        u[row] = sample_haar_unitary(n_levels, rng)
     return u
 
 

@@ -864,6 +864,10 @@ def no_c_pass(handle, dtype, columns):
     return None
 
 
+def no_row_parser(reader, header, columns, path):
+    raise AssertionError("a plain CSV went to the row parser")
+
+
 def assert_same_column_outcome(got, want):
     if isinstance(want, np.ndarray):
         assert same_bits(got, want)
@@ -907,24 +911,68 @@ def test_read_column_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, me
         assert type(got) is UsageError and message in str(got)
 
 
+def blank_led(tmp_path, path, lead):
+    """A copy of ``path`` under the same name in a new directory, with ``lead`` before its text."""
+    led = tmp_path / "led" / path.name
+    led.parent.mkdir()
+    led.write_bytes(lead.encode() + path.read_bytes())
+    return led
+
+
+@pytest.mark.parametrize("lead", ["\n", "\r\n\r\n"], ids=["lf", "crlf-crlf"])
 @pytest.mark.parametrize(
-    "values, count",
-    # 1,820 N=3 or 163 N=10 records per parse block
-    [([0.5, 0.375, 0.125], 3700), ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400)],
-    ids=["n3-three-blocks", "n10-zero-block"],
+    "edit, says",
+    [
+        (lambda lines: None, None),
+        (_cell(1, 0, lambda m: f'"{m}"'), None),
+        # numpy's C pass takes no underscore in a number, Python's int and float do
+        (in_turn(_cell(1, 1, lambda i: "1_000"), _cell(2, -1, lambda x: "1_000")), "record 1: rho_jj observables"),
+        (lambda lines: lines.insert(3, "   "), "quirk.csv, line 4: 1 fields"),
+    ],
+    ids=["plain", "quoted", "c-pass-fails", "whitespace-line"],
 )
-def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count):
+def test_csv_readers_skip_blank_lines_before_the_header(tmp_path, monkeypatch, lead, edit, says):
+    bare = quirk_file(tmp_path, edit)
+    led = blank_led(tmp_path, bare, lead)
+    for read in (read_records, read_rho_33):
+        got, want = outcome_of(read, led), outcome_of(read, bare)
+        if isinstance(want, list):
+            assert_records_identical(got, want)
+        elif isinstance(want, np.ndarray):
+            assert same_bits(got, want)
+        else:  # the same error, naming the same row by its line in the file
+            assert says in str(want)
+            shift = lead.count("\n")
+            assert type(got) is type(want)
+            assert str(got) == str(want).replace(str(bare), str(led)).replace("line 4:", f"line {4 + shift}:")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\r\n\r\n", "\r"], ids=["empty", "lf", "crlf-crlf", "cr"])
+def test_a_csv_of_line_breaks_alone_reads_as_an_empty_file(tmp_path, text):
+    out = tmp_path / "breaks.csv"
+    out.write_bytes(text.encode())
+    assert read_records(out) == []
+    with pytest.raises(UsageError, match="no data rows"):
+        read_column(out, "rho_33")
+
+
+@pytest.mark.parametrize(
+    "values, count, lead",
+    # 1,820 N=3 or 163 N=10 records per parse block
+    [
+        ([0.5, 0.375, 0.125], 3700, ""),
+        ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400, ""),
+        ([0.5, 0.375, 0.125], 600, "\r\n\n"),
+    ],
+    ids=["n3-three-blocks", "n10-zero-block", "n3-blank-lines-first"],
+)
+def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count, lead):
     out = tmp_path / "written.csv"
     write_records(batch_sample("haar", Spectrum(values), count, 9), out, "csv")
-
-    def no_row_parser(reader, header, columns, path):
-        raise AssertionError("a written CSV went to the row parser")
-
-    def no_picked_cells(reader, header, columns, path):
-        raise AssertionError("a written CSV column went to the row parser")
+    out.write_bytes(lead.encode() + out.read_bytes())
 
     monkeypatch.setattr(cli, "_csv_rows", no_row_parser)
-    monkeypatch.setattr(cli, "_picked_cells", no_picked_cells)
+    monkeypatch.setattr(cli, "_picked_cells", no_row_parser)
     records = read_records(out)
     assert len(records) == count
     for obj in (records[0], records[0].rho, records[0].rho.spectrum):

@@ -264,7 +264,8 @@ def test_stacked_layer_norms_equal_ndarray_dot(dim):
         assert stacked.dtype == per_row.dtype and stacked.tobytes() == per_row.tobytes()
 
 
-# N = 2, 3 draw in bulk; N = 4, 10 draw each row in place on its own stream
+# every Haar row draws in place on its own stream: the bit-for-bit check of
+# that path at small N, where each row's draws are a single generator call
 @pytest.mark.parametrize("n_levels", [2, 3, 4, 10])
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
 def test_bulk_ginibre_stacks_match_scalar_draws(monkeypatch, n_levels, seed):
@@ -284,26 +285,36 @@ def test_bulk_ginibre_stacks_match_scalar_draws(monkeypatch, n_levels, seed):
         assert np.array_equal(z[i], RngStream(seed, i).complex_normal((n_levels, n_levels)))
 
 
+# coset records take the bulk path up to the gate; Haar records never do,
+# under the gate or above it
 @pytest.mark.parametrize(
-    "method, values, bulk",
+    "method, values, under_gate",
     [
         ("coset", [0.25, 0.2, 0.15, 0.14, 0.12, 0.1, 0.04], True),  # 42 normals
         ("coset", [0.25, 0.2, 0.15, 0.12, 0.1, 0.08, 0.06, 0.04], False),  # 56 normals
         ("haar", [0.4, 0.3, 0.2, 0.1], True),  # 32 normals
         ("haar", [0.35, 0.25, 0.2, 0.15, 0.05], False),  # 50 normals
+        ("haar", [0.6, 0.4], True),  # 8 normals
+        ("haar", [0.5, 0.3, 0.2], True),  # 18 normals
     ],
 )
-def test_bulk_path_runs_up_to_the_draw_count_gate(monkeypatch, method, values, bulk):
+def test_bulk_path_runs_up_to_the_draw_count_gate(monkeypatch, method, values, under_gate):
     calls = []
-    real = bures.sampling.philox_words
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(name):
+        real = getattr(bures.sampling, name)
 
-    monkeypatch.setattr(bures.sampling, "philox_words", spy)
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("philox_words", "normals"):
+        monkeypatch.setattr(bures.sampling, name, spy(name))
     batch_sample(method, Spectrum(values), 5, 1)
-    assert bool(calls) == bulk
     n = len(values)
     normals_per_record = 2 * n * n if method == "haar" else n * (n - 1)
-    assert (normals_per_record <= BULK_MAX_NORMALS) == bulk
+    assert (normals_per_record <= BULK_MAX_NORMALS) == under_gate
+    bulk = method == "coset" and under_gate
+    assert calls == (["philox_words", "normals"] if bulk else [])

@@ -37,13 +37,16 @@ NUMBERS = [
     "1_0", "9" * 400, '"0.5"', "true", "null", "0x10",
 ]
 
+#: Line breaks that may lead a file, before its header or first record.
+BLANK_LEADS = ["\n", "\r\n", "\r\n\r\n", "\r", "\n\n\n"]
+
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def _mutate(text: str, rng: random.Random) -> bytes:
     """``text`` after one to three random edits, as bytes (one edit may break the UTF-8)."""
     for _ in range(rng.randint(1, 3)):
-        op = rng.randrange(7)
+        op = rng.randrange(8)
         at = rng.randrange(len(text) + 1)
         if op == 0:
             text = text[:at] + rng.choice(TOKENS) + text[at:]
@@ -59,6 +62,8 @@ def _mutate(text: str, rng: random.Random) -> bytes:
             text = text[:at] + text[at:stop][::-1] + text[stop:]
         elif op == 4:
             text = text[:at]
+        elif op == 7:
+            text = rng.choice(BLANK_LEADS) + text
         else:
             lines = text.splitlines(keepends=True)
             if lines:
