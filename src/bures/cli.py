@@ -461,11 +461,31 @@ def _picked_cells(reader, header: list, columns: list, path):
             yield reader.line_num, cells
 
 
-#: Decodes a JSONL line for read_column: the C scanner still parses all of it,
-#: but leaves every non-integer number as the text it sliced out, as bytes, so
-#: only the one compared cell is converted (float() on that text, as
-#: json.loads does) and a JSON string, left a str, is told from a number.
+#: Decodes read_column's JSON (an observables member, or a whole line) with
+#: every non-integer number left as its text, in bytes: only the compared cell
+#: is converted (float(), as json.loads does), and a JSON string stays a str.
 _decode_deferred = json.JSONDecoder(parse_float=str.encode).decode
+_scan_deferred = _decode_deferred.__self__.scan_once
+#: json.loads's grammar, limits and errors, but no float objects: each float's text gives its length.
+_check_line = json.JSONDecoder(parse_float=len).decode
+_OBSERVABLES_KEY = '"observables":'
+
+
+def _decode_observables(text: str):
+    """A JSONL line for read_column: ``{"observables": value}``, or else the whole line's ``_decode_deferred``.
+
+    In a line ``_check_line`` passed, ``"observables":`` after "{", "," or
+    JSON whitespace is a key: its quote is not escaped, and no closing quote
+    precedes a letter. If the last one's value is followed only by "}", which
+    ends only an object, json keeps it: it is the top-level object's last member.
+    """
+    _check_line(text)
+    at = text.rfind(_OBSERVABLES_KEY)
+    if at > 0 and text[at - 1] in "{, \t\r\n":
+        value, end = _scan_deferred(text, json.decoder.WHITESPACE.match(text, at + len(_OBSERVABLES_KEY)).end())
+        if text[end:].strip(" \t\r\n") == "}":
+            return {"observables": value}
+    return _decode_deferred(text)
 
 
 def _jsonl_objects(handle, path, decode=json.loads):
@@ -574,7 +594,7 @@ def read_column(path, column: str) -> np.ndarray:
         raise UsageError(f"column {column!r} is not a rho_jj observable")
     with _record_file(path) as (handle, jsonl, plain):
         if jsonl:
-            objects = _jsonl_objects(handle, path, _decode_deferred)
+            objects = _jsonl_objects(handle, path, _decode_observables)
             cells = [_observable(payload, column, path) for _, payload in objects]
         else:
             reader = csv.reader(handle)

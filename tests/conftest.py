@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,49 @@ def spectrum4():
 @pytest.fixture
 def spectrum5():
     return Spectrum([0.35, 0.25, 0.2, 0.15, 0.05])
+
+
+def jsonl_column(path, column: str):
+    """``read_column``'s outcome on a JSONL file, from ``json.loads`` of each whole line.
+
+    An array of the column's values, or the text of the UsageError
+    ``read_column`` documents. As there, a non-integer number stays its text
+    in bytes until its cell is converted.
+    """
+    with open(path, encoding="utf-8-sig") as handle:
+        lines = list(handle)
+    cells = []
+    for line, text in enumerate(lines, 1):
+        if not text.strip():
+            continue
+        try:
+            payload = json.loads(text, parse_float=str.encode)
+        except json.JSONDecodeError as exc:
+            return f"{path}, line {line}: malformed JSON ({exc.msg})"
+        except RecursionError:
+            return f"{path}, line {line}: JSON nested too deeply"
+        except ValueError as exc:
+            return f"{path}, line {line}: {exc}"
+        if type(payload) is not dict:
+            return f"{path}, line {line}: not a JSON object"
+        observables = payload.get("observables")
+        if type(observables) is not dict or column not in observables:
+            return f"column {column!r} not present in {path}"
+        if type(observables[column]) is str:
+            return f"non-numeric value {observables[column]!r} in column {column!r} of {path}"
+        cells.append(observables[column])
+    if not cells:
+        return f"no data rows in {path}"
+    values = []
+    for cell in cells:
+        try:
+            if type(cell) not in (int, float, bytes):  # true, false, null, an array or an object
+                raise TypeError
+            value = float(cell)
+        except (TypeError, OverflowError):  # a JSON integer may overflow a float
+            return f"non-numeric value {cell!r} in column {column!r} of {path}"
+        if not math.isfinite(value):
+            text = cell.decode() if type(cell) is bytes else cell
+            return f"non-finite value {text!r} in column {column!r} of {path}"
+        values.append(value)
+    return np.array(values)

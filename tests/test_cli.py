@@ -16,6 +16,8 @@ from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
 from bures.sampling import SampleRecord, StateBatch, batch_sample
 from bures.stats import cumulative_pairs
 
+from conftest import jsonl_column
+
 SPEC3 = "0.5,0.375,0.125"
 
 
@@ -497,6 +499,74 @@ def test_read_column_matches_records(tmp_path, fmt, values):
     for column in records[0].observables:
         want = np.array([r.observables[column] for r in records])
         assert same_bits(read_column(out, column), want)
+
+
+@pytest.mark.parametrize(
+    "line, says",
+    [
+        ('{"observables":{"rho_11":0.5},"index":0,"re":[[0.5]]}\n', 0.5),
+        ('{"index":0,"observables":{"rho_11":0.5},"re":[[0.5]]}\n', 0.5),
+        ('{"observables":{"rho_11":0.25},"index":0,"observables":{"rho_11":0.5}}\n', 0.5),
+        ('{"observables":{"rho_11":0.25},"observables":{"rho_11":0.5},"index":0}\n', 0.5),
+        ('{"observables":{"rho_11":0.5},"x":{"observables":{"rho_11":0.25}}}\n', 0.5),
+        ('{"observables":{"rho_11":0.5},"x":[{"observables":{"rho_11":0.25}}]}\n', 0.5),
+        ('{"x":{"observables":{"rho_11":0.25}},"observables":{"rho_11":0.5}}\n', 0.5),
+        (r'{"observables":{"rho_11":0.5},"x\"observables":{"rho_11":0.25}}' "\n", 0.5),
+        (r'{"observables":{"rho_11":0.5},"note":"\"observables\":{\"rho_11\":0.25}"}' "\n", 0.5),
+        (r'{"note":"x\"observables\":{\"rho_11\":0.25}}","observables":{"rho_11":0.5}}' "\n", 0.5),
+        ('{"index":0, "observables":\t { "rho_11" :0.5 } \t}\n', 0.5),
+        ('{ "index" : 0 ,\t"observables" :\t{ "rho_11" : 0.5 }\t}\n', 0.5),
+        ('{"index":0,"observables":{"rho_11":0.5}}\r\n', 0.5),
+        ('{"index":0,"observables":{"rho_11":0.5}} {"x":1}\n', "line 3: malformed JSON (Extra data)"),
+        ('{"index":0,"observables":{"rho_11":0.5}}}\n', "line 3: malformed JSON (Extra data)"),
+        ('{"index":0,"observables":{"rho_11":0.5}\n', "line 3: malformed JSON (Expecting ',' delimiter)"),
+        ('[{"observables":{"rho_11":0.5}}]\n', "line 3: not a JSON object"),
+        ('{"observables":{"rho_11":0.5},"index":1%s}\n' % ("0" * 5000), "line 3: Exceeds the limit"),
+        ('{"index":0,"observables":[0.5]}\n', "column 'rho_11' not present"),
+        ('{"index":0,"observables":{"rho_11":"0.5"}}\n', "non-numeric value '0.5'"),
+        ('{"index":0,"observables":{"rho_11":[0.5]}}\n', "non-numeric value [b'0.5']"),
+        ('{"index":0,"observables":{"rho_11":1e999}}\n', "non-finite value '1e999'"),
+    ],
+    ids=[
+        "first", "middle", "duplicate-last", "duplicate-then-more", "nested-after", "nested-in-array-after",
+        "nested-before", "escaped-quote-key", "string-value-after", "string-value-before", "whitespace-after-colon",
+        "whitespace-around-colon", "crlf", "extra-object", "extra-brace", "truncated", "array",
+        "int-5000-digits", "observables-array", "string-cell", "array-cell", "overflowing-cell",
+    ],
+)
+def test_read_column_decodes_jsonl_lines_as_json_loads_does(tmp_path, line, says):
+    out = tmp_path / "crafted.jsonl"
+    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), 1, 4), out, "jsonl")
+    # a blank line, then the crafted line 3
+    out.write_bytes(out.read_bytes() + b"\n" + line.encode())
+    want = jsonl_column(out, "rho_11")
+    got = outcome_of(lambda path: read_column(path, "rho_11"), out)
+    if isinstance(says, float):
+        assert same_bits(got, want) and want[-1] == says
+    else:
+        assert type(got) is UsageError and str(got) == want and says in want
+
+
+def no_full_decode(text):
+    raise AssertionError("a bures-written JSONL line went to the full decode")
+
+
+@pytest.mark.parametrize(
+    "values, method, count, labels",
+    [
+        ([0.5, 0.375, 0.125], "coset", 300, slice(None)),
+        ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], "haar", 100, slice(None)),
+        (np.arange(1, 101) / 5050, "coset", 3, slice(None, None, 33)),
+    ],
+    ids=["n3", "n10-zero-block", "n100"],
+)
+def test_written_jsonl_columns_decode_only_the_observables(tmp_path, monkeypatch, values, method, count, labels):
+    out = tmp_path / "written.jsonl"
+    write_records(batch_sample(method, Spectrum(values), count, 9), out, "jsonl")
+    records = read_records(out)
+    monkeypatch.setattr(cli, "_decode_deferred", no_full_decode)
+    for label in list(records[0].observables)[labels]:
+        assert same_bits(read_column(out, label), np.array([r.observables[label] for r in records]))
 
 
 def legacy_pairs_bytes(pairs):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bures.coset import matmul
-from bures.errors import NotHermitianError, ShapeError, SingularMatrixError
+from bures.errors import NotHermitianError, ShapeError
 from bures.measures import hermitian_eig
-from bures.sampling import qr_decompose
 
 from conftest import random_hermitian
 
@@ -50,39 +49,6 @@ def test_matmul_matches_naive_loop(order):
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(np.eye(2), np.eye(3))
-
-
-def test_qr_identity():
-    q, r = qr_decompose(np.eye(3))
-    assert matmul(q, r) == pytest.approx(np.eye(3))
-    assert np.abs(np.diagonal(r)) == pytest.approx(np.ones(3))
-
-
-def test_qr_diagonal_input():
-    q, r = qr_decompose(np.diag([2.0, 3.0]))
-    assert np.abs(np.diagonal(r)) == pytest.approx([2.0, 3.0])
-    assert matmul(q, q.conj().T) == pytest.approx(np.eye(2), abs=1e-14)
-
-
-def test_qr_reconstructs_random_matrices():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q, r = qr_decompose(a)
-        assert matmul(q, r) == pytest.approx(a, abs=1e-12)
-        assert matmul(q.conj().T, q) == pytest.approx(np.eye(4), abs=1e-13)
-        assert np.tril(r, -1) == pytest.approx(np.zeros((4, 4)), abs=1e-13)
-
-
-def test_qr_singular_raises():
-    a = np.array([[1.0, 0.0], [1.0, 0.0]])  # zero second column after projection
-    with pytest.raises(SingularMatrixError):
-        qr_decompose(a)
-
-
-def test_qr_rejects_rectangular():
-    with pytest.raises(ShapeError):
-        qr_decompose(np.ones((2, 3)))
 
 
 def test_hermitian_eig_diagonal():

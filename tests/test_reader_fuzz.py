@@ -3,19 +3,24 @@
 Mutants of small valid record files go through ``read_records`` and through
 ``bures compare``. Whatever the mutant, the reader returns or raises one of
 the exception types README documents, ``compare`` exits with a documented
-code and a one-line error, and no numpy ``RuntimeWarning`` escapes.
+code and a one-line error, and no numpy ``RuntimeWarning`` escapes. A JSONL
+mutant's compared column is the one ``json.loads`` of each line gives, or
+both refuse the file.
 """
 
 import random
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from bures.cli import UsageError, main, read_records, write_records
+from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import ConvergenceError, InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import Spectrum
 from bures.sampling import batch_sample
+
+from conftest import jsonl_column
 
 #: Fixed before the first run, and not to be tuned to what the mutants find.
 SEED = 16
@@ -81,6 +86,14 @@ def _mutate(text: str, rng: random.Random) -> bytes:
     return data
 
 
+def _read_as_jsonl(data: bytes) -> bool:
+    """Whether the readers take ``data`` as a JSONL file: UTF-8 text whose first non-blank character is "{"."""
+    try:
+        return data.decode("utf-8-sig").lstrip().startswith("{")
+    except UnicodeDecodeError:
+        return False
+
+
 @pytest.mark.parametrize(
     "values, method, count, fmt",
     [
@@ -120,6 +133,16 @@ def test_mutated_record_files_fail_cleanly(tmp_path, capsys, values, method, cou
                 failures.append((k, "compare", repr(exc), data))
                 continue
         out, err = capsys.readouterr()
+        if fmt == "jsonl" and _read_as_jsonl(data):
+            want = jsonl_column(mutant, "rho_11")
+            try:
+                got = read_column(mutant, "rho_11")
+            except UsageError as exc:
+                got = exc
+            if isinstance(want, str) != isinstance(got, UsageError) or (
+                isinstance(want, np.ndarray) and got.tobytes() != want.tobytes()
+            ):
+                failures.append((k, "read_column", f"{got!r}, json.loads gives {want!r}", data))
         if code not in (0, 1, 2, 3):
             failures.append((k, "compare", f"exit {code}", data))
         elif code in (2, 3) and (out or len(err.splitlines()) != 1):
