@@ -106,6 +106,11 @@ def _csv_header(n: int) -> list:
 #: writing stays below the peak that reading the same file sets; in a sweep
 #: from 1,024 to 65,536 values, N=3 and N=10 writes were no faster above
 #: about 8,000 values and only used more memory.
+#: This is a budget of text, not ``block_records(N)``'s budget of states. In
+#: blocks of ``block_records(N)`` records, N=100 JSONL writes of 40 records
+#: took 0.21 instead of 0.19 s and peaked at 10.7 instead of 3.2 MB
+#: (tracemalloc), and N=3 CSV writes of 5,000 records peaked at 5.5 instead
+#: of 2.7 MB, no faster (median of 5, one BLAS thread, 2-CPU x86-64 VM).
 WRITE_BLOCK_VALUES = BLOCK_BYTES // _floattext.WIDTH
 
 #: Words of one float text.

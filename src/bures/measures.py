@@ -65,6 +65,13 @@ def as_complex_matrix(a) -> np.ndarray:
     return arr
 
 
+def _not_hermitian(h: np.ndarray) -> bool:
+    """Whether ``norm(h - h†) > HERMITICITY_RTOL * norm(h)``, h scaled by a power of two so no norm overflows."""
+    peak = max(np.abs(h.real).max(), np.abs(h.imag).max())
+    unit = h * 2.0 ** -math.frexp(peak)[1] if peak > 1 else h
+    return bool(np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit))
+
+
 def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -74,10 +81,7 @@ def hermitian_eig(h) -> EigenDecomposition:
     h = as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ShapeError(f"eigendecomposition expects a square matrix, got {h.shape}")
-    # scaled by a power of two to parts below 1, exactly, the test's norms cannot overflow
-    peak = max(np.abs(h.real).max(), np.abs(h.imag).max())
-    unit = h * 2.0 ** -math.frexp(peak)[1] if peak > 1 else h
-    if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit):
+    if _not_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian to working tolerance")
     # a huge finite entry may overflow here; the caller rejects non-finite eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,11 +228,13 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
     numbers run vectorized against the same tolerances, followed by the
     caller's ``after`` triples (see ``raise_first_failure``); the first failing
     record is named, counting from ``start``. One finiteness mask and one norm
-    of h - h† serve every finiteness and Hermiticity row. ``DensityMatrix``'s
-    rows on eigh's own output are left out: Hermitian eigh is backward stable,
-    so its basis is unitary to rounding, and the reconstruction misses h by at
-    most the clipped eigenvalues in [-1e-12, 0), sqrt(N - 1) * 1e-12, plus
-    half the skew, 0.5e-12, which is below STATE_RECON_TOL for N < 9,900.
+    of h - h† serve every finiteness and Hermiticity row, except that a matrix
+    with a part above 1, whose norms may overflow, takes ``hermitian_eig``'s
+    scaled relative test. ``DensityMatrix``'s rows on eigh's own output are
+    left out: Hermitian eigh is backward stable, so its basis is unitary to
+    rounding, and the reconstruction misses h by at most the clipped
+    eigenvalues in [-1e-12, 0), sqrt(N - 1) * 1e-12, plus half the skew,
+    0.5e-12, which is below STATE_RECON_TOL for N < 9,900.
     """
     finite = np.isfinite(matrices).all(axis=(1, 2))
     # non-finite rows fail the first check; zeros keep them out of LAPACK
@@ -240,6 +246,9 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
         sym = h.conj().transpose(0, 2, 1)
         skew = np.linalg.norm(h - sym, axis=(1, 2))
         not_hermitian = skew > HERMITICITY_RTOL * np.linalg.norm(h, axis=(1, 2))
+        peak = np.maximum(np.abs(h.real).max(axis=(1, 2)), np.abs(h.imag).max(axis=(1, 2)))
+        for row in np.flatnonzero(peak > 1).tolist():
+            not_hermitian[row] = _not_hermitian(h[row])
         sym += h
         sym /= 2
         try:

@@ -244,12 +244,10 @@ def sample_state_coset(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
     return SampleRecord("coset", rng.stream_index, rho)
 
 
-#: Working-set budget of one block of records: ``block_records(N)`` is as
-#: many records as fit one (block, N, N) complex stack into this many bytes
-#: (at least one), so peak memory stays flat in the record count whatever N
-#: is; coset sampling blocks have a floor (COSET_BLOCK_FLOOR). A block makes
-#: a handful of such stacks at once; at 1 MiB their churn raised the peak RSS
-#: of repeated N=3 runs by about 10%, at 256 KiB by about 2%.
+#: Working-set budget of one block of records (``block_records``), so that
+#: peak memory stays flat in the record count whatever N is. A block makes a
+#: handful of (block, N, N) stacks at once; at 1 MiB their churn raised the
+#: peak RSS of repeated N=3 runs by about 10%, at 256 KiB by about 2%.
 BLOCK_BYTES = 1 << 18
 
 
@@ -257,12 +255,12 @@ BLOCK_BYTES = 1 << 18
 class StateBatch:
     """Sampled states as one stack; record i was drawn from stream (seed, i).
 
-    ``matrices`` has shape (count, N, N) and holds finite states equal to
-    their conjugate transposes bit for bit. Construction checks both, block
-    by block, and names the first failing record with the first check it
-    fails; for a sampled stack this is the only finiteness and Hermiticity
-    check. ``diagonals`` (count, N), the rho_jj observables, are derived from
-    them.
+    ``matrices``, taken as a complex array (a complex128 stack is not
+    copied), has shape (count, N, N) and holds finite states equal to their
+    conjugate transposes bit for bit. Construction checks these, block by
+    block, and names the first failing record with the first check it fails;
+    for a sampled stack this is the only finiteness and Hermiticity check.
+    ``diagonals`` (count, N), the rho_jj observables, are derived from them.
     """
 
     method: str
@@ -274,12 +272,14 @@ class StateBatch:
         if self.method not in METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
         n = self.spectrum.n_levels
-        count = self.matrices.shape[0]
-        if self.matrices.shape != (count, n, n):
-            raise ShapeError(f"matrices {self.matrices.shape} do not hold {n}-level states")
+        matrices = np.asarray(self.matrices, dtype=complex)
+        if matrices.ndim != 3 or matrices.shape[1:] != (n, n):
+            raise ShapeError(f"matrices {matrices.shape} do not hold {n}-level states")
+        object.__setattr__(self, "matrices", matrices)
         # block by block: a whole-stack conjugate transpose would raise peak memory
-        for start, stop in _blocks(count, block_records(n)):
-            block = self.matrices[start:stop]
+        step = block_records(n)
+        for start in range(0, len(matrices), step):
+            block = matrices[start : start + step]
             hermitian = (block == block.conj().transpose(0, 2, 1)).all(axis=(1, 2))
             checks = [
                 (~np.isfinite(block).all(axis=(1, 2)), ShapeError, "matrix entries must be finite"),
@@ -305,40 +305,22 @@ class StateBatch:
         return range(len(self))
 
 
+#: Fewest records of a block (see ``block_records``): the flag product makes
+#: about 20 numpy calls per layer and block, and in 4-record blocks the N=100
+#: one took 1.9 instead of 3.0 ms per record (one BLAS thread, 2-CPU VM).
+BLOCK_FLOOR = 4
+
+
 def block_records(n_levels: int) -> int:
-    """Records per block: as many (N, N) complex states as fit BLOCK_BYTES, at least one."""
-    return max(1, BLOCK_BYTES // (16 * n_levels * n_levels))
+    """Records per block of every stack of states, sampled, checked or read.
 
-
-#: Fewest records of a coset sampling block, while that many states fit
-#: COSET_BLOCK_FLOOR x BLOCK_BYTES. The flag product makes about 20 numpy
-#: calls per layer and block, N - 1 layers, so from N = 65 up, where
-#: ``block_records`` drops below 4, that overhead is paid for one to three
-#: records. With 4-record blocks the N=100 flag product took 1.9 instead of
-#: 3.0 ms per record (one BLAS thread, 2-CPU x86-64 VM), with the same bits.
-#: Haar blocks gained nothing.
-COSET_BLOCK_FLOOR = 4
-
-
-def sample_block_records(method: str, n_levels: int) -> int:
-    """Records per block of ``batch_sample``.
-
-    ``block_records(N)``, except that a coset block holds at least
-    min(COSET_BLOCK_FLOOR, states that fit COSET_BLOCK_FLOOR x BLOCK_BYTES)
-    records, which changes the block at N = 65-181 only. Every record is
-    computed on its own, so the block size does not change the bits.
+    As many (N, N) complex states as fit BLOCK_BYTES, but at least
+    min(BLOCK_FLOOR, states that fit BLOCK_FLOOR x BLOCK_BYTES) and one:
+    1,820 at N = 3, 163 at N = 10, 4 at N = 65-128, 3 at 129-147, 2 at
+    148-181 and 1 from N = 182 up.
     """
-    step = block_records(n_levels)
-    if method == "coset":
-        fit = COSET_BLOCK_FLOOR * BLOCK_BYTES // (16 * n_levels * n_levels)
-        step = max(step, min(COSET_BLOCK_FLOOR, fit))
-    return step
-
-
-def _blocks(count: int, step: int):
-    """(start, stop) pairs covering range(count) in blocks of ``step`` records."""
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
+    state = 16 * n_levels * n_levels
+    return max(1, BLOCK_BYTES // state, min(BLOCK_FLOOR, BLOCK_FLOOR * BLOCK_BYTES // state))
 
 
 #: Most normal draws per coset record for which the bulk draw path runs. A
@@ -442,8 +424,9 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
     """StateBatch of ``count`` states, record i drawn from stream (seed, i).
 
     The spectrum needs at least 2 levels; the coset method uses its ladder
-    (``coset_ladder``). Record i does not depend on ``count``, so a batch's
-    first k records equal a count-k batch bit for bit.
+    (``coset_ladder``). Record i depends neither on ``count`` nor on the
+    ``block_records(N)`` blocks both methods build the states in, so a
+    batch's first k records equal a count-k batch bit for bit.
     """
     if count < 1:
         raise ShapeError("count must be at least 1")
@@ -458,7 +441,9 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
         raise ShapeError(f"cannot hold {count} states of {n} levels in memory") from exc
     rng = RngStream(seed)
     dims = coset_ladder(spectrum) if method == "coset" else ()
-    for start, stop in _blocks(count, sample_block_records(method, n)):
+    step = block_records(n)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
         if method == "haar":
             unitaries = _haar_unitaries(rng, n, start, stop)
         else:

@@ -692,6 +692,20 @@ def test_read_records_takes_csv_columns_in_any_order(tmp_path):
     assert_records_identical(read_records(shuffled), per_record_read(out))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("n", [80, 100, 150])
+def test_read_records_bits_do_not_depend_on_the_floored_block(tmp_path, monkeypatch, fmt, n):
+    # the floor holds 4, 4 and 2 records per parse block: two blocks and one record more
+    step = cli.block_records(n)
+    assert step > max(1, cli.BLOCK_BYTES // (16 * n * n))
+    values = np.linspace(2.0, 1.0, n)
+    out = tmp_path / f"floor.{fmt}"
+    write_records(batch_sample("haar", Spectrum(values / values.sum()), 2 * step + 1, 6), out, fmt)
+    floored = read_records(out)
+    monkeypatch.setattr(cli, "block_records", lambda n_levels: 1)
+    assert_records_identical(read_records(out), floored)
+
+
 def edited_file(tmp_path, edit, method="haar", values=(0.5, 0.375, 0.125), count=600):
     """A CSV, by default of 600 N=3 records, whose rows (header first) went through ``edit``."""
     out = tmp_path / "edited.csv"
@@ -756,10 +770,12 @@ def plus(by):
         (edit_record_300(re_2_2=lambda value: math.inf, rho_22=lambda value: math.inf), ShapeError),
         # a huge finite mirror pair overflows the norms, which must not surface as a RuntimeWarning either
         (edit_record_300(re_1_2=lambda value: 1e200, re_2_1=lambda value: 1e200), InvalidStateError),
+        # a huge pair 1e-9 apart: the norms overflow unless scaled, as hermitian_eig scales them
+        (edit_record_300(re_1_2=lambda value: 1e300, re_2_1=lambda value: 1e300 * (1 + 1e-9)), NotHermitianError),
     ],
     ids=[
         "non-finite", "non-hermitian", "rho-jj-inconsistent", "rho-jj-nan", "trace-not-one", "negative-eigenvalue",
-        "first-record-wins", "inf-mirror-pair", "inf-diagonal-and-rho-jj", "huge-mirror-pair",
+        "first-record-wins", "inf-mirror-pair", "inf-diagonal-and-rho-jj", "huge-mirror-pair", "huge-non-hermitian",
     ],
 )
 def test_read_records_names_the_failing_record(tmp_path, edit, error):

@@ -8,49 +8,6 @@ from bures.measures import hermitian_eig
 from conftest import random_hermitian
 
 
-def test_matmul_returns_an_ndarray():
-    assert isinstance(matmul(np.eye(2), np.eye(2)), np.ndarray)
-
-
-def naive_product(a, b, order):
-    """Triple loop oracle; both index orders must agree with the library."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    if order == "ikj":
-        for i in range(a.shape[0]):
-            for k in range(a.shape[1]):
-                for j in range(b.shape[1]):
-                    out[i, j] += a[i, k] * b[k, j]
-    else:
-        for i in range(a.shape[0]):
-            for j in range(b.shape[1]):
-                for k in range(a.shape[1]):
-                    out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_rotation_squares_to_minus_identity():
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert matmul(rot, rot) == pytest.approx(-np.eye(2))
-
-
-@pytest.mark.parametrize("order", ["ikj", "ijk"])
-def test_matmul_matches_naive_loop(order):
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert matmul(a, b) == pytest.approx(naive_product(a, b, order), abs=1e-13)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.eye(2), np.eye(3))
-
-
 def test_hermitian_eig_diagonal():
     eig = hermitian_eig(np.diag([0.5, 0.125, 0.375]))
     assert eig.eigenvalues == pytest.approx([0.125, 0.375, 0.5])

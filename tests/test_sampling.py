@@ -15,7 +15,6 @@ from bures.sampling import (
     coset_ladder,
     qr_decompose,
     sample_ball,
-    sample_block_records,
     sample_flag_chart,
     sample_haar_unitary,
     sample_interior_point,
@@ -334,6 +333,22 @@ def test_state_batch_rejects_non_finite_or_non_hermitian_stacks(spectrum3, edit,
         StateBatch("haar", 3, spectrum3, matrices)
 
 
+def test_state_batch_coerces_its_input(spectrum3):
+    batch = batch_sample("haar", spectrum3, 5, 3)
+    # the sampler's complex128 stack is kept, not copied
+    assert StateBatch("haar", 3, spectrum3, batch.matrices).matrices is batch.matrices
+    listed = StateBatch("haar", 3, spectrum3, batch.matrices.tolist())
+    assert listed.matrices.dtype == complex
+    assert np.array_equal(listed.matrices, batch.matrices)
+    assert np.array_equal(listed.diagonals, batch.diagonals)
+
+
+@pytest.mark.parametrize("matrices", [np.array(0.5), np.eye(3)], ids=["0-d", "2-d"])
+def test_state_batch_rejects_a_stack_that_is_not_3d(spectrum3, matrices):
+    with pytest.raises(ShapeError, match="do not hold 3-level states"):
+        StateBatch("haar", 3, spectrum3, matrices)
+
+
 def _tilted(column, other):
     tilted = column + 1e-9 * other
     return tilted / np.linalg.norm(tilted)
@@ -452,9 +467,9 @@ def _linspace_spectrum(n):
 
 
 def test_coset_prefix_crosses_a_floored_block():
-    # N=100 coset blocks hold 4 records: a count-9 batch is 4 + 4 + 1
+    # N=100 blocks hold 4 records: a count-9 batch is 4 + 4 + 1
     spectrum = _linspace_spectrum(100)
-    assert sample_block_records("coset", 100) == 4
+    assert block_records(100) == 4
     short = batch_sample("coset", spectrum, 3, 31)
     long = batch_sample("coset", spectrum, 9, 31)
     assert np.array_equal(long.matrices[:3], short.matrices)
@@ -462,34 +477,40 @@ def test_coset_prefix_crosses_a_floored_block():
 
 def test_sample_block_rule():
     # arithmetic only: no block is built
-    changed = []
+    floored = {n: 4 for n in range(65, 129)} | {n: 3 for n in range(129, 148)} | {n: 2 for n in range(148, 182)}
     for n in range(2, 401):
-        base = block_records(n)
-        assert sample_block_records("haar", n) == base
-        step = sample_block_records("coset", n)
-        assert base <= step <= max(base, 4)
-        if step > base:
-            assert step * 16 * n * n <= 4 * BLOCK_BYTES
-            changed.append(n)
-    assert changed == list(range(65, 182))
+        fit = max(1, BLOCK_BYTES // (16 * n * n))
+        assert block_records(n) == floored.get(n, fit)
+        if n in floored:
+            assert fit < floored[n] and floored[n] * 16 * n * n <= 4 * BLOCK_BYTES
+    assert [block_records(n) for n in (3, 10, 100, 182)] == [1820, 163, 4, 1]
+
+
+def _floored_block_keeps_the_bits(method, n, monkeypatch):
+    spectrum = _linspace_spectrum(n)
+    step = block_records(n)
+    assert step > max(1, BLOCK_BYTES // (16 * n * n))
+    count = 2 * step + 1
+    floored = batch_sample(method, spectrum, count, 5).matrices
+    monkeypatch.setattr(bures.sampling, "block_records", lambda n_levels: 1)
+    assert np.array_equal(batch_sample(method, spectrum, count, 5).matrices, floored)
 
 
 @pytest.mark.parametrize("n", [80, 100, 150])
 def test_coset_block_floor_keeps_the_bits(n, monkeypatch):
-    spectrum = _linspace_spectrum(n)
-    step = sample_block_records("coset", n)
-    assert step > block_records(n)
-    count = 2 * step + 1
-    floored = batch_sample("coset", spectrum, count, 5).matrices
-    monkeypatch.setattr(bures.sampling, "sample_block_records", lambda method, n_levels: 1)
-    assert np.array_equal(batch_sample("coset", spectrum, count, 5).matrices, floored)
+    _floored_block_keeps_the_bits("coset", n, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [80, 100, 150])
+def test_haar_block_floor_keeps_the_bits(n, monkeypatch):
+    _floored_block_keeps_the_bits("haar", n, monkeypatch)
 
 
 @pytest.mark.parametrize("method", ["coset", "haar"])
 def test_batch_spanning_several_blocks_matches_oracle(method):
     n = 100
     spectrum = _linspace_spectrum(n)
-    count = 2 * sample_block_records(method, n) + 2
+    count = 2 * block_records(n) + 2
     batch = batch_sample(method, spectrum, count, 4)
     assert np.max(np.abs(batch.matrices - scalar_states(method, spectrum, 4, count))) <= 1e-13
 
