@@ -3,9 +3,9 @@
 A double x = m 2^q (m < 2^53) times 10^k is m 5^k / 2^s with s = -(q + k),
 so its correctly rounded 17 significant digits are the integer quotient
 m 5^k >> s, rounded half to even on the remainder. The product is held in two
-uint64 words (32-bit limbs), as in Steele & White, "How to print
-floating-point numbers accurately" (PLDI 1990) and Adams, "Ryu: fast
-float-to-string conversion" (PLDI 2018). ``'%.17g'`` takes these 17 digits.
+uint64 words (``philox._mulhilo``, from 32-bit limbs), as in Steele & White,
+"How to print floating-point numbers accurately" (PLDI 1990) and Adams, "Ryu:
+fast float-to-string conversion" (PLDI 2018). ``'%.17g'`` takes these 17 digits.
 ``float.__repr__`` takes the fewest digits that read back as x: the
 (17 - j)-digit candidate N is the same quotient rounded at 10^j, and it reads
 back when it lies inside x's rounding interval, 2 |N 2^s - m 5^k| < 5^k, read
@@ -23,12 +23,13 @@ digits (a shorter text may too). Zero is written directly.
 
 import numpy as np
 
+from .philox import _mulhilo
+
 #: Bytes of one text: three little-endian uint64 words, the characters from
 #: byte 0 on and NUL after them. No text is longer than 23 characters.
 WIDTH = 24
 
 _ONE = np.uint64(1)
-_LOW32 = np.uint64(0xFFFFFFFF)
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
@@ -73,17 +74,12 @@ _POINT = np.uint64(ord(".") << 8)
 def _scaled(m, e, k):
     """x 10^k = quotient + remainder / 2^s for x = m 2^(e - 1075), as (quotient, remainder, s).
 
-    Every operand is a uint64 array: array arithmetic wraps silently where a
-    numpy scalar would warn, and mixing in a signed array would turn it to float.
+    m 5^k is ``philox._mulhilo``'s exact product. Every operand is a uint64
+    array: array arithmetic wraps silently where a numpy scalar would warn,
+    and mixing in a signed array would turn it to float.
     """
     s = np.uint64(1075) - e - k
-    f = _POW5[k]
-    ml, mh = m & _LOW32, m >> np.uint64(32)
-    fl, fh = f & _LOW32, f >> np.uint64(32)
-    ll = ml * fl
-    mid = ml * fh + mh * fl + (ll >> np.uint64(32))
-    lo = (mid << np.uint64(32)) | (ll & _LOW32)
-    hi = mh * fh + (mid >> np.uint64(32))
+    hi, lo = _mulhilo(_POW5[k], m)
     # s is 1..64; two shifts keep each below 64
     quotient = (hi << (np.uint64(64) - s)) | ((lo >> (s - _ONE)) >> _ONE)
     return quotient, lo & (_ALL >> (np.uint64(64) - s)), s

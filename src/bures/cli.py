@@ -39,6 +39,7 @@ from .sampling import (
     StateBatch,
     batch_sample,
     block_records,
+    observable_labels,
     sample_interior_point,
 )
 from .stats import cumulative_pairs, ks_two_sample
@@ -87,16 +88,9 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _diag_labels(n: int) -> list:
-    return [f"rho_{j}{j}" for j in range(1, n + 1)]
-
-
-def _entry_labels(prefix: str, n: int) -> list:
-    return [f"{prefix}_{j}_{k}" for j in range(1, n + 1) for k in range(1, n + 1)]
-
-
 def _csv_header(n: int) -> list:
-    return ["method", "index"] + _entry_labels("re", n) + _entry_labels("im", n) + _diag_labels(n)
+    entries = [f"{j}_{k}" for j in range(1, n + 1) for k in range(1, n + 1)]
+    return ["method", "index"] + [f"re_{e}" for e in entries] + [f"im_{e}" for e in entries] + observable_labels(n)
 
 
 #: Most values write_records or compare's QQ sidecar formats as one text
@@ -164,7 +158,7 @@ def _text_layout(n: int, fmt: str, method: str) -> list:
     row = np.ones((n, n), np.intp)
     row[:, 0] = 2
     row[0, 0] = 0
-    labels = _diag_labels(n)
+    labels = observable_labels(n)
     return [
         _literal('{"method":' + json.dumps(method) + ',"index":'),
         None,
@@ -238,39 +232,34 @@ def _write_text(batch: StateBatch, handle, fmt: str) -> None:
 
 
 def write_records_csv(batch: StateBatch, path) -> None:
-    """One header line, then per record: method, index, Re rho, Im rho (row-major), rho_jj."""
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(_csv_header(batch.n_levels)) + "\n")
-        _write_text(batch, handle, "csv")
-
-
-def write_records_jsonl(batch: StateBatch, path) -> None:
-    """One JSON object per record: method, index, re and im as nested rows, rho_jj observables."""
-    with open(path, "w") as handle:
-        _write_text(batch, handle, "jsonl")
+    """``write_records`` of ``batch`` as CSV."""
+    write_records(batch, path, "csv")
 
 
 def write_records(batch: StateBatch, path, fmt: str) -> None:
     """Write ``batch`` as a CSV or JSONL record file.
 
-    The bytes are those of formatting each record on its own: json.dumps of
-    the record object with separators (",", ":") for JSONL, a %.17g cell per
-    float for CSV. Text is built a block of records at a time, formatting each
-    distinct entry magnitude of the Hermitian states once. ``bures._floattext``
-    spells the magnitudes in [1e-10, 1) from integer arithmetic in numpy, exactly
-    as ``float.__repr__`` or ``'%.17g'`` would; Python formats, value by value,
-    every value that path does not prove (about 6 in 10,000 of sampled entries).
-    Separators, signs and texts go into one array of words per block, whose NUL
-    bytes are dropped as it is written. ``StateBatch`` admits only finite,
-    exactly Hermitian states, so every file written here passes
-    ``read_records``' finiteness and Hermiticity checks.
+    Per record: method, index, Re and Im rho (CSV cells under one header line,
+    JSONL nested rows), then rho_jj. The bytes are those of formatting each
+    record on its own: json.dumps of the record object with separators (",",
+    ":") for JSONL, a %.17g cell per float for CSV. Text is built a block of
+    records at a time, formatting each distinct entry magnitude of the
+    Hermitian states once. ``bures._floattext`` spells the magnitudes in
+    [1e-10, 1) from integer arithmetic in numpy, exactly as ``float.__repr__``
+    or ``'%.17g'`` would; Python formats, value by value, every value that path
+    does not prove (about 6 in 10,000 of sampled entries). Separators, signs
+    and texts go into one array of words per block, whose NUL bytes are
+    dropped as it is written. ``StateBatch`` admits only finite, exactly
+    Hermitian states, so every file written here passes ``read_records``'
+    finiteness and Hermiticity checks.
     """
-    if fmt == "csv":
-        write_records_csv(batch, path)
-    elif fmt == "jsonl":
-        write_records_jsonl(batch, path)
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise UsageError(f"unknown format {fmt!r}")
+    # a CSV line ends in "\n" on every platform, a JSONL line in the platform's line end
+    with open(path, "w", newline="" if fmt == "csv" else None) as handle:
+        if fmt == "csv":
+            handle.write(",".join(_csv_header(batch.n_levels)) + "\n")
+        _write_text(batch, handle, fmt)
 
 
 def read_records(path) -> list:
@@ -532,7 +521,7 @@ def _jsonl_rows(handle, path):
                 raise UsageError(f"{path}, line {line}: observables is not a JSON object")
             if n is None:
                 n = len(re) if type(re) is list else 0
-                labels = _diag_labels(n)
+                labels = observable_labels(n)
             if n < 1 or not (_square(re, n) and _square(im, n)):
                 raise UsageError(
                     f"{path}, line {line}: want re and im as two ({n}, {n}) matrices, N from the first record"

@@ -65,11 +65,15 @@ def as_complex_matrix(a) -> np.ndarray:
     return arr
 
 
-def _not_hermitian(h: np.ndarray) -> bool:
-    """Whether ``norm(h - h†) > HERMITICITY_RTOL * norm(h)``, h scaled by a power of two so no norm overflows."""
+def _not_hermitian(h: np.ndarray, floor: float = 0.0) -> bool:
+    """Whether ``norm(h - h†) > HERMITICITY_RTOL * max(floor, norm(h))``.
+
+    h and ``floor`` are scaled by one power of two, exactly, so that no norm overflows.
+    """
     peak = max(np.abs(h.real).max(), np.abs(h.imag).max())
-    unit = h * 2.0 ** -math.frexp(peak)[1] if peak > 1 else h
-    return bool(np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit))
+    scale = 2.0 ** -math.frexp(peak)[1] if peak > 1 else 1.0
+    unit = h * scale
+    return bool(np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * max(floor * scale, np.linalg.norm(unit)))
 
 
 def hermitian_eig(h) -> EigenDecomposition:
@@ -367,27 +371,28 @@ def eigenvalue_density(spectrum: Spectrum) -> float:
 def bures_quadratic(rho: DensityMatrix, drho) -> float:
     """Squared Bures line element (1/2) sum |<j|drho|k>|^2 / (lambda_j + lambda_k).
 
-    ``drho`` is a Hermitian perturbation expressed in the same basis as
-    ``rho.matrix``; it is rotated into the eigenbasis internally. Terms with
-    lambda_j + lambda_k below 1e-14 are dropped when their numerator vanishes
-    (perturbation tangent to the rank surface) and rejected otherwise.
+    ``drho`` is a Hermitian perturbation (by ``hermitian_eig``'s overflow-safe
+    test, with a floor of 1) in the same basis as ``rho.matrix``; it is
+    rotated into the eigenbasis internally. Terms with lambda_j + lambda_k
+    below 1e-14 are dropped when their numerator vanishes (perturbation
+    tangent to the rank surface) and rejected otherwise; an overflow gives inf.
     """
     drho = as_complex_matrix(drho)
     n = rho.n_levels
     if drho.shape != (n, n):
         raise ShapeError(f"perturbation shape {drho.shape} does not match {(n, n)}")
-    scale = max(1.0, float(np.linalg.norm(drho)))
-    if np.linalg.norm(drho - drho.conj().T) > 1e-10 * scale:
+    if _not_hermitian(drho, floor=1.0):
         raise NotHermitianError("perturbation must be Hermitian")
     m = rho.basis.conj().T @ drho @ rho.basis
     lam = rho.spectrum.values
     denom = lam[:, None] + lam[None, :]
-    amp2 = np.abs(m) ** 2
     tiny = denom < 1e-14
-    if np.any(amp2[tiny] >= 1e-24):
-        raise RankDeficiencyError("perturbation pushes off the kernel; line element diverges")
-    safe = np.where(tiny, 1.0, denom)
-    return float(0.5 * np.sum(np.where(tiny, 0.0, amp2 / safe)))
+    with np.errstate(over="ignore"):  # a huge drho squares to inf
+        amp2 = np.abs(m) ** 2
+        if np.any(amp2[tiny] >= 1e-24):
+            raise RankDeficiencyError("perturbation pushes off the kernel; line element diverges")
+        safe = np.where(tiny, 1.0, denom)
+        return float(0.5 * np.sum(np.where(tiny, 0.0, amp2 / safe)))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

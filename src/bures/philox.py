@@ -28,8 +28,8 @@ _WI = np.array(WI)
 _KI = np.array(KI, dtype=np.uint64)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray):
-    """High and low 64-bit words of the 128-bit products m * x, built from 32-bit halves."""
+def _mulhilo(m, x):
+    """High and low words of the exact 128-bit products m * x of any uint64 operands, from 32-bit halves."""
     m_lo, m_hi = m & _LOW32, m >> _HALF
     x_lo, x_hi = x & _LOW32, x >> _HALF
     low_low = m_lo * x_lo

@@ -42,6 +42,15 @@ METHODS = ("haar", "coset")
 #: Diagonal entries of R at or below this magnitude count as rank deficiency.
 PIVOT_FLOOR = 1e-300
 
+#: A ball direction of norm below this is drawn again, by ``sample_ball`` and
+#: ``_draw_charts`` alike: the batch matches the scalar reference only so.
+DIRECTION_FLOOR = 1e-300
+
+
+def observable_labels(n_levels: int) -> list:
+    """The rho_jj observable labels "rho_11", "rho_22", ..., in order."""
+    return [f"rho_{j}{j}" for j in range(1, n_levels + 1)]
+
 
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_index).
@@ -110,8 +119,8 @@ class SampleRecord:
 
     @property
     def observables(self) -> dict:
-        """Labels "rho_11", "rho_22", ... mapped to the real diagonal entries, in label order."""
-        return {f"rho_{j}{j}": value for j, value in enumerate(np.diagonal(self.rho.matrix).real.tolist(), 1)}
+        """``observable_labels`` mapped to the real diagonal entries, in label order."""
+        return dict(zip(observable_labels(self.rho.n_levels), np.diagonal(self.rho.matrix).real.tolist()))
 
 
 def sample_ball(dim: int, rng: RngStream) -> BallPoint:
@@ -124,7 +133,7 @@ def sample_ball(dim: int, rng: RngStream) -> BallPoint:
         raise ShapeError("ball dimension must be even and at least 2")
     direction = rng.standard_normal(dim)
     norm = float(np.linalg.norm(direction))
-    while norm < 1e-300:
+    while norm < DIRECTION_FLOOR:
         direction = rng.standard_normal(dim)
         norm = float(np.linalg.norm(direction))
     radius = rng.uniform() ** (1.0 / dim)
@@ -361,7 +370,7 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
     from one assembly per block. Each squared norm, a stacked matmul of a
     layer with itself, equals ``sample_ball``'s ndarray.dot bit for bit (the
     tests compare them); summed another way it differs. A row with a layer
-    norm below 1e-300, which ``sample_ball`` would redraw, is redone by it.
+    norm below DIRECTION_FLOOR, which ``sample_ball`` redraws, is redone by it.
     """
     rows = stop - start
     spans = [slice(lo, lo + dim) for lo, dim in zip(layer_offsets(dims), dims)]
@@ -381,7 +390,7 @@ def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarr
         direction = coords[:, span]
         norms[:, layer] = np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0]
     np.sqrt(norms, out=norms)
-    tiny = norms < 1e-300
+    tiny = norms < DIRECTION_FLOOR
     # Python's float power, as sample_ball takes it
     radii = np.fromiter(map(pow, u.ravel().tolist(), [1.0 / dim for dim in dims] * rows), float, u.size)
     coords *= np.repeat(radii.reshape(u.shape) / np.where(tiny, 1.0, norms), dims, axis=1)

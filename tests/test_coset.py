@@ -28,6 +28,14 @@ def test_matmul_returns_an_ndarray():
     assert isinstance(matmul(np.eye(2), np.eye(2)), np.ndarray)
 
 
+def test_trace_is_cyclic_under_matmul():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        assert np.trace(matmul(a, b)) == pytest.approx(np.trace(matmul(b, a)))
+
+
 def naive_product(a, b, order):
     """Triple loop oracle; both index orders must agree with the library."""
     out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)

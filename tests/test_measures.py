@@ -20,11 +20,49 @@ from bures.measures import (
     fidelity,
     flag_volume,
     flag_volume_sz,
+    hermitian_eig,
     lambda_factor,
 )
 from bures.sampling import RngStream, sample_haar_unitary, sample_state_haar
 
 from conftest import one_sample_ks, random_hermitian
+
+
+# ------------------------------------------------------------- eigensolver
+
+
+def test_hermitian_eig_diagonal():
+    eig = hermitian_eig(np.diag([0.5, 0.125, 0.375]))
+    assert eig.eigenvalues == pytest.approx([0.125, 0.375, 0.5])
+    # eigenvectors permute the standard basis
+    assert np.abs(eig.eigenvectors) == pytest.approx(
+        np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+    )
+
+
+def test_hermitian_eig_exchange_matrix():
+    eig = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert eig.eigenvalues == pytest.approx([-1.0, 1.0])
+
+
+def test_hermitian_eig_recovers_planted_eigenvalues():
+    rng = np.random.default_rng(12)
+    planted = np.sort(rng.uniform(-1, 1, size=4))
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u, _ = np.linalg.qr(g)
+    h = (u * planted) @ u.conj().T
+    eig = hermitian_eig(h)
+    assert eig.eigenvalues == pytest.approx(planted, abs=1e-12)
+
+
+def test_hermitian_eig_reconstruction():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        h = random_hermitian(rng, 5)
+        w, v = hermitian_eig(h)
+        assert np.all(np.diff(w) >= 0)
+        assert (v * w) @ v.conj().T == pytest.approx(h, abs=1e-12)
+        assert v.conj().T @ v == pytest.approx(np.eye(5), abs=1e-13)
 
 
 # ------------------------------------------------------------------- spectra
@@ -322,6 +360,23 @@ def test_bures_quadratic_input_validation():
         bures_quadratic(rho, np.triu(np.ones((3, 3)), 1))
     with pytest.raises(ShapeError):
         bures_quadratic(rho, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "lower, expected",
+    [(1e300 * (1 + 1e-9), NotHermitianError), (1e300, math.inf)],
+    ids=["skew-1e300", "hermitian-1e300"],
+)
+def test_bures_quadratic_huge_perturbation(lower, expected):
+    # ‖drho‖ overflows; neither case may warn, since the suite turns a RuntimeWarning into an error
+    rho = DensityMatrix.from_matrix(np.diag([0.5, 0.3, 0.2]))
+    drho = np.zeros((3, 3))
+    drho[0, 1], drho[1, 0] = 1e300, lower
+    if expected is NotHermitianError:
+        with pytest.raises(NotHermitianError):
+            bures_quadratic(rho, drho)
+    else:
+        assert bures_quadratic(rho, drho) == expected
 
 
 def test_bures_quadratic_kernel_terms():

@@ -7,13 +7,15 @@ those words, which lets every ziggurat layer and every fallback edge be
 checked against numpy itself.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 import bures.sampling
 from bures._ziggurat import KI, WI
 from bures.measures import Spectrum
-from bures.philox import normals, philox_words, uniforms
+from bures.philox import _mulhilo, normals, philox_words, uniforms
 from bures.sampling import (
     BULK_MAX_NORMALS,
     RngStream,
@@ -88,6 +90,28 @@ def numpy_normal(word):
 
 def numpy_words(seed, index, count):
     return np.random.Philox(key=np.array([seed, index], dtype=np.uint64)).random_raw(count)
+
+
+#: Edge operands of the 128-bit product: limb boundaries, the double mantissa
+#: bound, the largest uint64, the largest power of 5 float text takes and the
+#: Philox multipliers.
+MULHILO_EDGES = (0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**64 - 1, 5**27, *MULTIPLIERS)
+
+
+def test_mulhilo_is_the_exact_128_bit_product():
+    rng = random.Random(25)
+    # half the random pairs are full width, half of random bit widths
+    widths = [(64, 64)] * 5_000 + [(rng.randint(1, 64), rng.randint(1, 64)) for _ in range(5_000)]
+    pairs = [(rng.getrandbits(w), rng.getrandbits(v)) for w, v in widths]
+    pairs += [(m, x) for m in MULHILO_EDGES for x in MULHILO_EDGES]
+    # operands past 2^53, where a product that assumed a double's mantissa would wrap
+    assert sum(m > 2**53 and x > 2**53 for m, x in pairs) > 4_000
+    m, x = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
+    hi, lo = _mulhilo(m, x)
+    assert [divmod(a * b, 2**64) for a, b in pairs] == list(zip(hi.tolist(), lo.tolist()))
+    # a scalar multiplier, as the Philox rounds pass it
+    hi, lo = _mulhilo(np.uint64(MULTIPLIERS[0]), x)
+    assert [divmod(MULTIPLIERS[0] * b, 2**64) for _, b in pairs] == list(zip(hi.tolist(), lo.tolist()))
 
 
 def test_inverse_finds_the_counter():
