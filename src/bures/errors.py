@@ -39,3 +39,7 @@ class RankDeficiencyError(BuresError, ValueError):
 
 class InvalidStateError(BuresError, ValueError):
     """Matrix or eigenvalue data does not describe a density matrix."""
+
+
+class UsageError(BuresError):
+    """Invalid command-line input or a malformed input file (maps to exit code 2)."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bures import cli
+import bures.records
 from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
@@ -564,7 +564,7 @@ def test_written_jsonl_columns_decode_only_the_observables(tmp_path, monkeypatch
     out = tmp_path / "written.jsonl"
     write_records(batch_sample(method, Spectrum(values), count, 9), out, "jsonl")
     records = read_records(out)
-    monkeypatch.setattr(cli, "_decode_deferred", no_full_decode)
+    monkeypatch.setattr(bures.records, "_decode_deferred", no_full_decode)
     for label in list(records[0].observables)[labels]:
         assert same_bits(read_column(out, label), np.array([r.observables[label] for r in records]))
 
@@ -598,7 +598,7 @@ def test_compare_pairs_bytes_match_across_write_blocks(tmp_path):
     specials = [0.0, 5e-324, 2.5e-310, 1e-11, 2.0**-25, 1.0, 3.5, 1e300]
     specials = np.repeat([-0.0] + specials + [-v for v in specials[1:]], 20)
     count = 12_000
-    assert count > 2 * (cli.WRITE_BLOCK_VALUES // 2)
+    assert count > 2 * (bures.records.WRITE_BLOCK_VALUES // 2)
     rng = np.random.default_rng(21)
 
     def sample():
@@ -696,13 +696,13 @@ def test_read_records_takes_csv_columns_in_any_order(tmp_path):
 @pytest.mark.parametrize("n", [80, 100, 150])
 def test_read_records_bits_do_not_depend_on_the_floored_block(tmp_path, monkeypatch, fmt, n):
     # the floor holds 4, 4 and 2 records per parse block: two blocks and one record more
-    step = cli.block_records(n)
-    assert step > max(1, cli.BLOCK_BYTES // (16 * n * n))
+    step = bures.records.block_records(n)
+    assert step > max(1, bures.records.BLOCK_BYTES // (16 * n * n))
     values = np.linspace(2.0, 1.0, n)
     out = tmp_path / f"floor.{fmt}"
     write_records(batch_sample("haar", Spectrum(values / values.sum()), 2 * step + 1, 6), out, fmt)
     floored = read_records(out)
-    monkeypatch.setattr(cli, "block_records", lambda n_levels: 1)
+    monkeypatch.setattr(bures.records, "block_records", lambda n_levels: 1)
     assert_records_identical(read_records(out), floored)
 
 
@@ -910,7 +910,7 @@ def _columns_around_numbers(labels, cells):
 def test_csv_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, outcome):
     out = quirk_file(tmp_path, edit)
     got, got_column = outcome_of(read_records, out), outcome_of(read_rho_33, out)
-    monkeypatch.setattr(cli, "_c_pass", no_c_pass)  # every CSV now goes to the row parser
+    monkeypatch.setattr(bures.records, "_c_pass", no_c_pass)  # every CSV now goes to the row parser
     want, want_column = outcome_of(read_records, out), outcome_of(read_rho_33, out)
     if outcome is None:
         assert_records_identical(got, want)
@@ -988,7 +988,7 @@ def _last_column_first(lines):
 def test_read_column_c_pass_and_row_parser_agree(tmp_path, monkeypatch, edit, message):
     out = quirk_file(tmp_path, edit)
     got = outcome_of(read_rho_33, out)
-    monkeypatch.setattr(cli, "_c_pass", no_c_pass)
+    monkeypatch.setattr(bures.records, "_c_pass", no_c_pass)
     want = outcome_of(read_rho_33, out)
     assert_same_column_outcome(got, want)
     if message is None:
@@ -1057,8 +1057,8 @@ def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count, lead
     write_records(batch_sample("haar", Spectrum(values), count, 9), out, "csv")
     out.write_bytes(lead.encode() + out.read_bytes())
 
-    monkeypatch.setattr(cli, "_csv_rows", no_row_parser)
-    monkeypatch.setattr(cli, "_picked_cells", no_row_parser)
+    monkeypatch.setattr(bures.records, "_csv_rows", no_row_parser)
+    monkeypatch.setattr(bures.records, "_picked_cells", no_row_parser)
     records = read_records(out)
     assert len(records) == count
     for obj in (records[0], records[0].rho, records[0].rho.spectrum):
