@@ -437,7 +437,7 @@ def _square(rows, n: int) -> bool:
 def _jsonl_blocks(handle, plain: bool, path):
     """(N, methods, indices, numbers array) per block of a JSONL record file; the first record fixes N."""
     objects = _jsonl_objects(handle, path)
-    for first in objects:  # the rows take the rest
+    for first in objects:  # once at most: the rows take the rest of the objects
         n = len(first[1]["re"]) if type(first[1].get("re")) is list else 0
         yield from _row_blocks(_jsonl_rows(itertools.chain((first,), objects), n, path), n)
 

@@ -75,6 +75,28 @@ def test_sample_zero_layer_hook_writes_the_diagonal_model(tmp_path):
     assert np.array_equal(record.rho.matrix, expected)
 
 
+@pytest.mark.parametrize("method", ["coset", "haar"])
+@pytest.mark.parametrize(
+    "spectrum, count, fmt",
+    [
+        ("0.5,0.375,0.125", 300, "csv"),
+        ("0.3,0.2,0.15,0.12,0.1,0.08,0.05,0,0,0", 200, "jsonl"),
+        (",".join(repr(j / 5050) for j in range(1, 101)), 3, "jsonl"),
+    ],
+    ids=["n3-csv", "n10-zero-block-jsonl", "n100-jsonl"],
+)
+def test_read_back_records_write_the_same_bytes(tmp_path, method, spectrum, count, fmt):
+    # both halves of the codec: what read_records returns, written again, is the file bures wrote
+    out = tmp_path / f"sampled.{fmt}"
+    argv = ["sample", "--spectrum", spectrum, "--method", method, "--count", str(count), "--seed", "11"]
+    assert main(argv + ["-o", str(out), "--format", fmt]) == 0
+    records = read_records(out)
+    batch = StateBatch(method, 11, records[0].rho.spectrum, np.array([r.rho.matrix for r in records]))
+    again = tmp_path / f"again.{fmt}"
+    write_records(batch, again, fmt)
+    assert again.read_bytes() == out.read_bytes()
+
+
 def legacy_csv_bytes(batch):
     """The per-record csv.writer format the record files have always had."""
     lines = []
@@ -476,6 +498,27 @@ def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert says is None or says in proc.stderr, proc.stderr
+
+
+def test_check_jacobian_too_large_for_memory_exits_2(tmp_path):
+    # BallPoint.zero(2n) fits, but the origin's (2n, 2n) Jacobian and eye(n + 1) do not: the
+    # address-space limit makes numpy fail to allocate whatever the host's overcommit setting
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bures.cli", "check-jacobian", "-n", "100000", "--points", "1"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: -n 100000: cannot hold"), proc.stderr
 
 
 @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
