@@ -82,22 +82,6 @@ def cmd_volume(n: int) -> int:
     return EXIT_OK
 
 
-def _write_pairs(pairs: np.ndarray, path) -> None:
-    """The QQ sidecar: an ``a,b`` header, then one row of two %.17g cells per pair.
-
-    Written by the record files' ``_block_text``, one pair a record, in
-    blocks of ``WRITE_BLOCK_VALUES // 2`` pairs; the bytes are those of a
-    csv.writer row per pair.
-    """
-    layout = [_run([0, 1], np.arange(2), ["", ","], [0, 1]), _literal("\n")]
-    step = WRITE_BLOCK_VALUES // 2
-    with open(path, "w", newline="") as handle:
-        handle.write("a,b\n")
-        for start in range(0, len(pairs), step):
-            block = pairs[start : start + step]
-            handle.write(_block_text(layout, False, start, np.abs(block), np.signbit(block)))
-
-
 def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
     a = read_column(a_path, column)
     b = read_column(b_path, column)
@@ -106,8 +90,7 @@ def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
         stem_a = Path(a_path).stem
         stem_b = Path(b_path).stem
         pairs_out = Path(a_path).with_name(f"{stem_a}_vs_{stem_b}_pairs.csv")
-    # the sidecar is written before any of the report, so an I/O failure prints
-    # none of it; its blocks go through the record files' writer (write_pairs)
+    # the sidecar is written before any of the report, so an I/O failure prints none of it
     if a.size == b.size:
         write_pairs(cumulative_pairs(a, b), pairs_out)
         pairs_line = f"pairs written to {pairs_out}"

@@ -168,9 +168,9 @@ def write_records(batch: StateBatch, path, fmt: str) -> None:
     Hermitian states, so every file written here passes ``read_records``'
     finiteness and Hermiticity checks.
     """
-    form = _FORMATS.get(fmt)
-    if form is None:
+    if fmt not in FORMATS:  # a tuple, so an unhashable fmt is an unknown one too
         raise UsageError(f"unknown format {fmt!r}")
+    form = _FORMATS[fmt]
     with open(path, "w", newline=form.newline) as handle:
         handle.write(form.header(batch.n_levels))
         _write_text(batch, handle, form)
@@ -437,7 +437,8 @@ def _square(rows, n: int) -> bool:
 def _jsonl_blocks(handle, plain: bool, path):
     """(N, methods, indices, numbers array) per block of a JSONL record file; the first record fixes N."""
     objects = _jsonl_objects(handle, path)
-    for first in objects:  # once at most: the rows take the rest of the objects
+    first = next(objects, None)
+    if first is not None:
         n = len(first[1]["re"]) if type(first[1].get("re")) is list else 0
         yield from _row_blocks(_jsonl_rows(itertools.chain((first,), objects), n, path), n)
 

@@ -218,6 +218,14 @@ def test_sample_rejects_unknown_method(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ["csv"], None])
+def test_write_records_rejects_unknown_formats(tmp_path, fmt):
+    out = tmp_path / "x.csv"
+    with pytest.raises(UsageError, match="unknown format"):
+        write_records(batch_sample("haar", Spectrum([0.5, 0.5]), 1, 0), out, fmt)
+    assert not out.exists()
+
+
 def test_sample_reports_io_failure(tmp_path):
     code = main(
         ["sample", "--spectrum", SPEC3, "--method", "haar", "--count", "1",
