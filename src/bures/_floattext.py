@@ -167,6 +167,7 @@ def texts(x: np.ndarray, shortest: bool) -> np.ndarray:
     prove are then replaced.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
+    zero = x == 0
     bits = x.view(np.uint64)
     e = bits >> np.uint64(52)
     m = (bits & _MANTISSA) | (_ONE << np.uint64(52))
@@ -175,7 +176,7 @@ def texts(x: np.ndarray, shortest: bool) -> np.ndarray:
     k = (16 - exponent).astype(np.uint64)
     quotient, remainder, s = _scaled(m, e, k)
     off = (quotient >= _POW10[17]).astype(np.intp) - (quotient < _POW10[16])
-    moved = np.flatnonzero(off)
+    moved = np.flatnonzero(off & ~zero)
     if len(moved):
         exponent[moved] = np.clip(exponent[moved] + off[moved], -10, -1)
         k[moved] = (16 - exponent[moved]).astype(np.uint64)
@@ -192,7 +193,7 @@ def texts(x: np.ndarray, shortest: bool) -> np.ndarray:
         # so each round tries only the values whose last candidate read back.
         proven &= (bits & _MANTISSA) != 0
         bound = _POW5[k] >> _ONE
-        fits = bound >= remainder
+        fits = (bound >= remainder) & ~zero
         below = (bound - remainder) >> s
         above = (bound + remainder) >> s
         alive = np.arange(len(x))
@@ -210,7 +211,6 @@ def texts(x: np.ndarray, shortest: bool) -> np.ndarray:
         tie[alive] = True
     proven &= ~tie & (n >= _POW10[16]) & (n < _POW10[17])
     out = _digits(n, exponent)
-    zero = x == 0
     out[zero] = [ord("0") | (ord(".") << 8) | (ord("0") << 16) if shortest else ord("0"), 0, 0]
     rest = ~(proven | zero)
     if rest.any():

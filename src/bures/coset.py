@@ -12,7 +12,11 @@ the closed form 1 - X X† / (1 + sqrt(1 - r^2)), which is what the code uses.
 Embedding blocks of growing size into the top-left corner of an N-level
 identity and multiplying them together (largest block leftmost) produces a
 unitary whose columns diagonalize a generic mixed state: ``flag_unitary`` for
-one chart, ``flag_unitaries`` for a stack of them.
+one chart, as dense products, and ``flag_unitaries`` for a stack of them, as
+low-rank updates. From RUN_SWITCH levels up the stacked product takes the
+layers in runs, each run one compact-WY update in matrix products; its
+results agree with the dense product to rounding, but their last bits differ
+from a layer-by-layer update's.
 
 The key quantitative fact, checked numerically by ``coset_jacobian_det``, is
 that plain Euclidean volume on each ball is exactly the invariant volume of
@@ -147,8 +151,23 @@ def layer_offsets(dims: tuple) -> list:
     return np.cumsum((0,) + dims[:-1]).tolist()
 
 
+#: Fewest levels of a ladder whose layers ``flag_unitaries`` applies in runs.
+#: Runs of 16 against single layers (one BLAS thread, 2-CPU x86-64 VM, blocks
+#: of ``sampling.block_records(N)``): 1.77x the time at N=16, 1.21x at 24,
+#: 1.07x at 28, 0.88x at 32, 0.62x at 40, 0.46x at 100 and 0.21x at 400.
+#: In five sweeps, runs for only the layers from B^64 up took 0.64-0.83x at
+#: N=48 and 0.60-0.73x at N=64, against 0.51-0.64x and 0.33-0.55x for whole
+#: ladders.
+RUN_SWITCH = 32
+
+#: Layers per run. Runs of 12, 20 and 24 took 0.47, 0.45 and 0.48x at N=100
+#: against 0.46x for 16, 0.24, 0.19 and 0.18x at N=400 against 0.21x, and
+#: 0.85, 0.92 and 1.10x at N=32 against 0.88x (same sweep).
+RUN_LAYERS = 16
+
+
 def flag_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray:
-    """Stacked ``flag_unitary`` of each row's chart, one low-rank update per layer.
+    """Stacked ``flag_unitary`` of each row's chart, in low-rank updates.
 
     Row i of ``coords`` concatenates the coordinates of a chart's layers,
     whose ball dimensions are ``dims``, smallest first. The layer on B^(2k)
@@ -157,11 +176,16 @@ def flag_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray
     the product is block-diagonal (W, identity) with W of size k, so the
     product only changes in its leading (k+1) x (k+1) block, which becomes
     [[W - x (x† W)/(1+s), x], [-x† W, s]]: O(k^2) work per layer instead of a
-    dense N x N product.
+    dense N x N product. Below RUN_SWITCH levels the layers take this update
+    one at a time; from RUN_SWITCH levels up they go in runs of RUN_LAYERS
+    (``_apply_runs``), the same O(k^2) work per layer in matrix products.
     """
     u = np.zeros((coords.shape[0], n_levels, n_levels), dtype=complex)
     first = dims[0] // 2
     u[:, range(first), range(first)] = 1.0
+    if n_levels >= RUN_SWITCH:
+        _apply_runs(u, dims, coords)
+        return u
     for lo, dim in zip(layer_offsets(dims), dims):
         k = dim // 2
         layer = coords[:, lo : lo + dim]
@@ -175,6 +199,54 @@ def flag_unitaries(n_levels: int, dims: tuple, coords: np.ndarray) -> np.ndarray
         u[:, k, :k] = -xw
         u[:, k, k] = s
     return u
+
+
+def _apply_runs(u: np.ndarray, dims: tuple, coords: np.ndarray) -> None:
+    """Apply the layers ``dims`` (rows of ``coords``) to the stack ``u`` in place, RUN_LAYERS at a time.
+
+    Layer k is I + V_k M_k V_k†, with V_k = [x, e_(k+1)] (x padded with zeros)
+    and M_k = [[-1/(1+s), 1], [-1, s-1]]. A run of b layers multiplies to
+    I + V T V†, V holding the run's 2b columns, where T⁻¹ = blockdiag(M_k⁻¹)
+    - strict-block-lower(V†V): the compact WY form of Bischof & Van Loan
+    (SIAM J. Sci. Stat. Comput. 8, 1987) and Schreiber & Van Loan (ibid. 10,
+    1989). Before the run the product is U = blockdiag(W, identity), W of
+    size lo, and the run adds V Z with T⁻¹ Z = V† U.
+
+    Ordered as [X, E], the x columns then the e columns (rows lo ... lo+b-1),
+    T⁻¹ = [[diag(-r²/2) - strict-lower(X†X), -D/2 - Q†], [D/2, -I/2]], with
+    D = diag(1+s) and Q† = X†E = X†[:, lo:lo+b], strictly lower as x_j has
+    lo+j levels. Its e rows give Z_E = D Z_X - 2 E†U, which leaves one b x b
+    solve, (-D - strict-lower(X†X) - Q† D) Z_X = [X†[:, :lo] W, -D - Q†].
+    Only X enters a matrix product: U becomes U + X Z_X, and its rows lo ...
+    lo+b-1, [0, identity] before, gain D Z_X - 2 [0, identity].
+    """
+    rows = coords.shape[0]
+    ks = np.array(dims) // 2
+    # x† of every layer, zero past its k levels, and every 1 + s, once per block
+    xh = np.zeros((rows, len(dims), ks[-1] + 1), dtype=complex)
+    xh[:, np.arange(ks[-1] + 1) < ks[:, None]] = coords[:, 0::2] - 1j * coords[:, 1::2]
+    r2 = np.add.reduceat(coords * coords, layer_offsets(dims), axis=1)
+    s1 = 1.0 + np.sqrt(1.0 - np.minimum(r2, 1.0))
+    for j in range(0, len(dims), RUN_LAYERS):
+        b = min(RUN_LAYERS, len(dims) - j)
+        lo = ks[j]
+        n = lo + b
+        run = xh[:, j : j + b, :n]
+        d = s1[:, j : j + b]
+        q = run[:, :, lo:]
+        diag = np.arange(b)
+        x = run.conj().transpose(0, 2, 1)
+        a = -np.tril(run @ x, -1) - q * d[:, None, :]
+        a[:, diag, diag] = -d
+        rhs = np.empty((rows, b, n), dtype=complex)
+        w = u[:, :n, :n]
+        rhs[:, :, :lo] = run[:, :, :lo] @ w[:, :lo, :lo]
+        rhs[:, :, lo:] = -q
+        rhs[:, diag, lo + diag] -= d
+        z = np.linalg.solve(a, rhs)
+        w[:, lo + diag, lo + diag] = -1.0
+        w[:, lo:] += d[:, :, None] * z
+        w += x @ z
 
 
 def _jacobian_matrix(point: BallPoint, step: float) -> np.ndarray:

@@ -315,8 +315,9 @@ class StateBatch:
 
 
 #: Fewest records of a block (see ``block_records``): the flag product makes
-#: about 20 numpy calls per layer and block, and in 4-record blocks the N=100
-#: one took 1.9 instead of 3.0 ms per record (one BLAS thread, 2-CPU VM).
+#: a fixed number of numpy calls per run of layers (``coset.flag_unitaries``)
+#: and block, and in 4-record blocks the N=100 one took 1.03 instead of 1.14
+#: ms per record (one BLAS thread, 2-CPU VM).
 BLOCK_FLOOR = 4
 
 

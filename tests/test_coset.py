@@ -13,12 +13,21 @@ from bures.coset import (
     coset_unitary,
     euler_coset_volume,
     euler_density_u3,
+    flag_unitaries,
     flag_unitary,
     matmul,
 )
 from bures.errors import BoundaryError, OutOfBallError, ShapeError
 from bures.measures import Spectrum, ball_volume
-from bures.sampling import RngStream, coset_ladder, sample_ball, sample_interior_point, state_from_chart
+from bures.sampling import (
+    RngStream,
+    _draw_charts,
+    block_records,
+    coset_ladder,
+    sample_ball,
+    sample_interior_point,
+    state_from_chart,
+)
 
 
 # --------------------------------------------------------------------- matmul
@@ -190,6 +199,15 @@ def test_flag_unitary_is_unitary():
             layers = tuple(sample_ball(d, rng) for d in range(2, 2 * n_levels, 2))
             u = flag_unitary(FlagChart(layers))
             assert u.conj().T @ u == pytest.approx(np.eye(n_levels), abs=1e-12)
+
+
+def test_flag_unitaries_residual_stays_bounded_as_n_grows():
+    # worst |U†U - I|_F over a block of rows: 7.5e-15 at N=100, 1.7e-14 at N=400
+    for n in (10, 50, 100, 200, 400):
+        dims = tuple(range(2, 2 * n, 2))
+        u = flag_unitaries(n, dims, _draw_charts(RngStream(9), dims, 0, block_records(n)))
+        residual = np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(n), axis=(1, 2))
+        assert residual.max() < 1e-13, n
 
 
 # ----------------------------------------------------- exponential-map radial

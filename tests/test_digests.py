@@ -26,7 +26,7 @@ from bures import _floattext
 from bures.cli import main, read_records
 
 #: Version of the output bits the pins below describe.
-OUTPUT_VERSION = 1
+OUTPUT_VERSION = 2
 
 SEED = 2**64 - 1
 
@@ -145,20 +145,20 @@ SHARED_PINS = {
 #: BLAS threads: the N=100 digests. Their bits differ between 1 and 2 threads.
 N100_PINS = {
     1: {
-        "sample/n100_coset.csv": "9665c6898e1698aedd56692f8d18000ed68062a8a1a4cd1a746e728be475732b",
-        "read_records/n100_coset.csv": "ed26539f36e6cd1c8ae99543097076a9c7ef870bbb905d233ab20ce37c60a002",
-        "sample/n100_coset.jsonl": "7fab7b63fbabb0e693d6b8d8b8511431964579cb5b154f70ce64a128583b622e",
-        "read_records/n100_coset.jsonl": "ed26539f36e6cd1c8ae99543097076a9c7ef870bbb905d233ab20ce37c60a002",
+        "sample/n100_coset.csv": "bba76367466a3f4d95b00bf907a26384603f8d3faf71304af1426a39e03869cb",
+        "read_records/n100_coset.csv": "6408a628ec5b017b129e839d99ea74ba386e55b7ac67f46a1f99986e9f4ec5c7",
+        "sample/n100_coset.jsonl": "641113584642800e5392189a071ec49932c7b0618c780be11231dd455aa5d93d",
+        "read_records/n100_coset.jsonl": "6408a628ec5b017b129e839d99ea74ba386e55b7ac67f46a1f99986e9f4ec5c7",
         "sample/n100_haar.csv": "4465907f6cb2c9c5c3840efbd9f495740d26e022574315cab2764261afdf9759",
         "read_records/n100_haar.csv": "daf400ef2c9ca4405b47b316c732afc8e525dce7b0f0085172cb903deaa51e1a",
         "sample/n100_haar.jsonl": "ad2f480e668da8fe318c512934a1434ea5badbc99af9cb7182e473e5813aedcc",
         "read_records/n100_haar.jsonl": "daf400ef2c9ca4405b47b316c732afc8e525dce7b0f0085172cb903deaa51e1a",
     },
     2: {
-        "sample/n100_coset.csv": "ca85e0e41d52029ce96f0abf7e1bc0e7e35b7f8628754260c4415cb34544d996",
-        "read_records/n100_coset.csv": "977b3b2a9577ddcc3ecd706b533f36b3d462eb59b91719e2f41dab7dc046ac0a",
-        "sample/n100_coset.jsonl": "5e75f6f4dddce23c0a93e13047436572e0e8624b8dc1417a42ad75f6af9a5678",
-        "read_records/n100_coset.jsonl": "977b3b2a9577ddcc3ecd706b533f36b3d462eb59b91719e2f41dab7dc046ac0a",
+        "sample/n100_coset.csv": "bba76367466a3f4d95b00bf907a26384603f8d3faf71304af1426a39e03869cb",
+        "read_records/n100_coset.csv": "12c9a59a504497098d9b9317cfc1b5fc26d84f533341fd68286f433f24443fbc",
+        "sample/n100_coset.jsonl": "641113584642800e5392189a071ec49932c7b0618c780be11231dd455aa5d93d",
+        "read_records/n100_coset.jsonl": "12c9a59a504497098d9b9317cfc1b5fc26d84f533341fd68286f433f24443fbc",
         "sample/n100_haar.csv": "af52c9ccb1747df3eb3a90d21d16755104a7a154f2f29bafabd695b07004454f",
         "read_records/n100_haar.csv": "4beac33bacf57440964ab38077f47bf3c93ed7a68469299ff93974843272cc5e",
         "sample/n100_haar.jsonl": "3e5f877699f2f7d2af294bbbad2e42d46d525a99151ee9072394aeb498e41248",

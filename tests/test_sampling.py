@@ -506,10 +506,28 @@ def test_haar_block_floor_keeps_the_bits(n, monkeypatch):
     _floored_block_keeps_the_bits("haar", n, monkeypatch)
 
 
-@pytest.mark.parametrize("method", ["coset", "haar"])
-def test_batch_spanning_several_blocks_matches_oracle(method):
-    n = 100
-    spectrum = _linspace_spectrum(n)
+def _zero_block_spectrum(n, zeros):
+    values = np.zeros(n)
+    values[: n - zeros] = np.linspace(2.0, 1.0, n - zeros)
+    return Spectrum(values / values.sum())
+
+
+@pytest.mark.parametrize(
+    "method, spectrum",
+    [
+        pytest.param("coset", _linspace_spectrum(100), id="coset"),
+        pytest.param("haar", _linspace_spectrum(100), id="haar"),
+        # either side of RUN_SWITCH = 32 levels: single layers, then runs
+        pytest.param("coset", _linspace_spectrum(31), id="coset-31"),
+        pytest.param("coset", _linspace_spectrum(32), id="coset-32"),
+        pytest.param("coset", _linspace_spectrum(200), id="coset-200"),
+        # ladders B^6 ... B^158 (four runs of 16 and one of 13) and B^68 ... B^78 (one run of 6)
+        pytest.param("coset", _zero_block_spectrum(80, 3), id="coset-80-zero-block"),
+        pytest.param("coset", _zero_block_spectrum(40, 34), id="coset-40-zero-block"),
+    ],
+)
+def test_batch_spanning_several_blocks_matches_oracle(method, spectrum):
+    n = spectrum.n_levels
     count = 2 * block_records(n) + 2
     batch = batch_sample(method, spectrum, count, 4)
     assert np.max(np.abs(batch.matrices - scalar_states(method, spectrum, 4, count))) <= 1e-13
