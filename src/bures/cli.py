@@ -54,14 +54,16 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def cmd_sample(spectrum: Spectrum, method: str, count: int, seed: int, output_path, fmt: str) -> int:
-    batch = batch_sample(method, spectrum, count, seed)
-    write_records(batch, output_path, fmt)
-    print(f"wrote {len(batch)} {method} records to {output_path}")
+def cmd_sample(args) -> int:
+    spectrum = _parse_spectrum(args.spectrum)
+    batch = batch_sample(args.method, spectrum, args.count, _check_seed(args.seed))
+    write_records(batch, args.output, args.format)
+    print(f"wrote {len(batch)} {args.method} records to {args.output}")
     return EXIT_OK
 
 
-def cmd_volume(n: int) -> int:
+def cmd_volume(args) -> int:
+    n = args.levels
     out_of_range = UsageError(f"volume tables for {n} levels leave the range of normal doubles")
     try:
         balls = [ball_volume(2 * k) for k in range(1, n)]
@@ -82,14 +84,18 @@ def cmd_volume(n: int) -> int:
     return EXIT_OK
 
 
-def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
-    a = read_column(a_path, column)
-    b = read_column(b_path, column)
-    result = ks_two_sample(a, b)
+def cmd_compare(args) -> int:
+    a_path, b_path, pairs_out = args.file_a, args.file_b, args.pairs_out
     if pairs_out is None:
         stem_a = Path(a_path).stem
         stem_b = Path(b_path).stem
         pairs_out = Path(a_path).with_name(f"{stem_a}_vs_{stem_b}_pairs.csv")
+    for path in (a_path, b_path):
+        if Path(pairs_out).exists() and Path(path).exists() and Path(pairs_out).samefile(path):
+            raise UsageError(f"--pairs-out {pairs_out} is the input file {path}; it would be overwritten")
+    a = read_column(a_path, args.column)
+    b = read_column(b_path, args.column)
+    result = ks_two_sample(a, b)
     # the sidecar is written before any of the report, so an I/O failure prints none of it
     if a.size == b.size:
         write_pairs(cumulative_pairs(a, b), pairs_out)
@@ -105,7 +111,8 @@ def cmd_compare(a_path, b_path, column: str, pairs_out=None) -> int:
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
-def cmd_check_jacobian(n: int, points: int, step: float, seed: int) -> int:
+def cmd_check_jacobian(args) -> int:
+    n, points, step, seed = args.n, args.points, args.step, _check_seed(args.seed)
     if n < 1:
         raise UsageError("n must be at least 1")
     if points < 1:
@@ -134,16 +141,16 @@ def cmd_check_jacobian(n: int, points: int, step: float, seed: int) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_check_euler(nodes: int = 64) -> int:
-    if nodes < 2:
+def cmd_check_euler(args) -> int:
+    if args.nodes < 2:
         raise UsageError("need at least 2 quadrature nodes")
     try:
-        volume = euler_coset_volume(nodes)
+        volume = euler_coset_volume(args.nodes)
     except (MemoryError, ValueError) as exc:  # numpy raises either, by size
-        raise UsageError(f"cannot hold {nodes} quadrature nodes in memory") from exc
+        raise UsageError(f"cannot hold {args.nodes} quadrature nodes in memory") from exc
     target = ball_volume(4)
     rel = abs(volume - target) / target
-    print(f"euler volume ({nodes} nodes) = {volume:.15g}")
+    print(f"euler volume ({args.nodes} nodes) = {volume:.15g}")
     print(f"target Vol(B^4) = {target:.15g}")
     print(f"relative error = {rel:.3g}")
     ok = rel < EULER_BOUND
@@ -151,8 +158,8 @@ def cmd_check_euler(nodes: int = 64) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_density(spectrum: Spectrum) -> int:
-    print(f"eigenvalue density = {eigenvalue_density(spectrum):.17g}")
+def cmd_density(args) -> int:
+    print(f"eigenvalue density = {eigenvalue_density(_parse_spectrum(args.spectrum)):.17g}")
     return EXIT_OK
 
 
@@ -170,27 +177,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("-o", "--output", required=True)
     p_sample.add_argument("--format", choices=FORMATS, default="csv")
+    p_sample.set_defaults(run=cmd_sample)
 
     p_volume = sub.add_parser("volume", help="print ball and flag volumes for N levels")
     p_volume.add_argument("-n", "--levels", type=int, required=True)
+    p_volume.set_defaults(run=cmd_volume)
 
     p_compare = sub.add_parser("compare", help="two-sample KS test between record files")
     p_compare.add_argument("file_a")
     p_compare.add_argument("file_b")
     p_compare.add_argument("--column", default="rho_33")
     p_compare.add_argument("--pairs-out", default=None)
+    p_compare.set_defaults(run=cmd_compare)
 
     p_jac = sub.add_parser("check-jacobian", help="verify unit Jacobian of ball coordinates")
     p_jac.add_argument("-n", type=int, default=2, help="half the ball dimension")
     p_jac.add_argument("--points", type=int, default=100)
     p_jac.add_argument("--step", type=float, default=1e-5)
     p_jac.add_argument("--seed", type=int, default=0)
+    p_jac.set_defaults(run=cmd_check_jacobian)
 
     p_euler = sub.add_parser("check-euler", help="verify the Euler-angle volume quadrature")
     p_euler.add_argument("--nodes", type=int, default=64)
+    p_euler.set_defaults(run=cmd_check_euler)
 
     p_density = sub.add_parser("density", help="eigenvalue density of the volume element")
     p_density.add_argument("--spectrum", required=True)
+    p_density.set_defaults(run=cmd_density)
 
     return parser
 
@@ -198,20 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "sample":
-            spectrum = _parse_spectrum(args.spectrum)
-            return cmd_sample(spectrum, args.method, args.count, _check_seed(args.seed), args.output, args.format)
-        if args.command == "volume":
-            return cmd_volume(args.levels)
-        if args.command == "compare":
-            return cmd_compare(args.file_a, args.file_b, args.column, args.pairs_out)
-        if args.command == "check-jacobian":
-            return cmd_check_jacobian(args.n, args.points, args.step, _check_seed(args.seed))
-        if args.command == "check-euler":
-            return cmd_check_euler(args.nodes)
-        if args.command == "density":
-            return cmd_density(_parse_spectrum(args.spectrum))
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except BuresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,20 +4,20 @@ Randomness comes from counter-based Philox streams keyed by (seed,
 stream_index), so every record of a batch owns an independent stream and the
 output is reproducible bit for bit regardless of execution order.
 
-``batch_sample`` is the columnar path. It draws from stream (seed, i)
-exactly what the scalar samplers below draw for record i, and builds the
-states of a whole block of records with stacked array operations. A Haar
-record, and a coset record of many draws, re-keys one generator to its
+``batch_sample`` is the one record sampler. For record i it draws from
+stream (seed, i) exactly what the tests' per-record oracle
+(``tests/conftest.py``, built from the primitives below) draws, and builds
+the states of a whole block of records with stacked array operations. A
+Haar record, and a coset record of many draws, re-keys one generator to its
 stream: a re-key assigns the one restart state the stream keeps, and the
 record writes its normals and uniforms in place into the block's rows. For
 coset records of few draws the draws of a whole block come from the streams'
 Philox words (``bures.philox``), and only the records those words cannot give
 re-key the generator. The complex Ginibre stack, and the ball norms and
-radii, are then assembled once per block for all rows. The scalar samplers,
-with the checked QR and its pivot floor, stay beside the batch kernels as the
-reference they are tested against; a block's flag product and states come
-from ``coset.flag_unitaries`` and ``measures.store_states``, each beside its
-per-record twin.
+radii, are then assembled once per block for all rows, and the rows the bulk
+paths cannot give are redone by the per-record primitives. A block's flag
+product and states come from ``coset.flag_unitaries`` and
+``measures.store_states``, each beside its per-record twin.
 """
 
 import math
@@ -201,11 +201,6 @@ def sample_haar_unitary(n_levels: int, rng: RngStream) -> np.ndarray:
     raise SingularMatrixError("repeated singular Ginibre draws") from last_error
 
 
-def _state_from_unitary(spectrum: Spectrum, unitary: np.ndarray) -> DensityMatrix:
-    """State whose ascending-ordered diagonal model is conjugated by ``unitary``."""
-    return DensityMatrix.from_eigensystem(spectrum, unitary[:, ::-1])
-
-
 def coset_ladder(spectrum: Spectrum) -> tuple:
     """Ball dimensions of the spectrum's coset ladder, smallest first.
 
@@ -222,35 +217,11 @@ def coset_ladder(spectrum: Spectrum) -> tuple:
     return tuple(2 * j for j in range(max(spectrum.num_zero(), 1), n))
 
 
-def sample_flag_chart(spectrum: Spectrum, rng: RngStream) -> FlagChart:
-    """Independent uniform ball points for each layer of the spectrum's ladder."""
-    return FlagChart(tuple(sample_ball(dim, rng) for dim in coset_ladder(spectrum)))
-
-
 def state_from_chart(spectrum: Spectrum, chart: FlagChart) -> DensityMatrix:
-    """Deterministic state for explicit chart coordinates (diagnostics and tests)."""
+    """State whose ascending-ordered diagonal model the chart's flag unitary conjugates."""
     if chart.n_levels != spectrum.n_levels:
-        raise ShapeError(
-            f"chart is for {chart.n_levels} levels, spectrum has {spectrum.n_levels}"
-        )
-    return _state_from_unitary(spectrum, flag_unitary(chart))
-
-
-def sample_state_haar(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
-    """Fixed-spectrum state conjugated by a Haar unitary."""
-    rho = _state_from_unitary(spectrum, sample_haar_unitary(spectrum.n_levels, rng))
-    return SampleRecord("haar", rng.stream_index, rho)
-
-
-def sample_state_coset(spectrum: Spectrum, rng: RngStream) -> SampleRecord:
-    """Fixed-spectrum state conjugated by a layered coset unitary.
-
-    Layer points are uniform on their balls, which by the unit-Jacobian
-    property of the coset coordinates reproduces the unitary part of the
-    Bures measure for the given spectrum.
-    """
-    rho = state_from_chart(spectrum, sample_flag_chart(spectrum, rng))
-    return SampleRecord("coset", rng.stream_index, rho)
+        raise ShapeError(f"chart is for {chart.n_levels} levels, spectrum has {spectrum.n_levels}")
+    return DensityMatrix.from_eigensystem(spectrum, flag_unitary(chart)[:, ::-1])
 
 
 #: Working-set budget of one block of records (``block_records``), so that
@@ -362,8 +333,9 @@ def _bulk_chart_draws(seed: int, dims: tuple, start: int, stop: int):
 def _draw_charts(rng: RngStream, dims: tuple, start: int, stop: int) -> np.ndarray:
     """Chart coordinates of records start..stop-1, one row per record.
 
-    Row i concatenates the layers smallest first and equals the coordinates
-    ``sample_flag_chart`` draws from stream (seed, start + i), bit for bit.
+    Row i concatenates the layers smallest first and equals, bit for bit,
+    the coordinates that ``sample_ball`` draws for the ladder's layers in
+    turn from stream (seed, start + i): the tests' oracle chart.
     Up to BULK_MAX_NORMALS normals per record the draws come from the
     streams' words, and only the rows that leave the bulk path re-key
     ``rng``; above it every row does. A re-keyed row writes each layer's
@@ -436,7 +408,9 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
     The spectrum needs at least 2 levels; the coset method uses its ladder
     (``coset_ladder``). Record i depends neither on ``count`` nor on the
     ``block_records(N)`` blocks both methods build the states in, so a
-    batch's first k records equal a count-k batch bit for bit.
+    batch's first k records equal a count-k batch bit for bit. The tests
+    compare each record with their oracle's (``sample_state_coset`` and
+    ``sample_state_haar`` in ``tests/conftest.py``), built one by one.
     """
     if count < 1:
         raise ShapeError("count must be at least 1")
@@ -458,6 +432,6 @@ def batch_sample(method: str, spectrum: Spectrum, count: int, seed: int) -> Stat
             unitaries = _haar_unitaries(rng, n, start, stop)
         else:
             unitaries = flag_unitaries(n, dims, _draw_charts(rng, dims, start, stop))
-        # the basis of the unitary's ascending-ordered diagonal model, as in _state_from_unitary
+        # the basis of the unitary's ascending-ordered diagonal model, as in state_from_chart
         store_states(spectrum, unitaries[:, :, ::-1], matrices[start:stop], start)
     return StateBatch(method, seed, spectrum, matrices)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bures.measures import Spectrum
+from bures.coset import FlagChart
+from bures.measures import DensityMatrix, Spectrum
+from bures.sampling import SampleRecord, coset_ladder, sample_ball, sample_haar_unitary, state_from_chart
 
 
 def one_sample_ks(values, cdf) -> float:
@@ -20,6 +22,34 @@ def one_sample_ks(values, cdf) -> float:
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
+
+
+# ------------------------------------------------------- per-record oracle
+# One state per call, from the shipped primitives. ``batch_sample`` draws the
+# same numbers from stream (seed, i) for record i, block by block.
+
+
+def sample_flag_chart(spectrum, rng) -> FlagChart:
+    """Independent uniform ball points for each layer of the spectrum's ladder."""
+    return FlagChart(tuple(sample_ball(dim, rng) for dim in coset_ladder(spectrum)))
+
+
+def sample_state_haar(spectrum, rng) -> SampleRecord:
+    """Fixed-spectrum state conjugated by a Haar unitary."""
+    unitary = sample_haar_unitary(spectrum.n_levels, rng)
+    rho = DensityMatrix.from_eigensystem(spectrum, unitary[:, ::-1])
+    return SampleRecord("haar", rng.stream_index, rho)
+
+
+def sample_state_coset(spectrum, rng) -> SampleRecord:
+    """Fixed-spectrum state conjugated by a layered coset unitary.
+
+    Layer points are uniform on their balls, which by the unit-Jacobian
+    property of the coset coordinates reproduces the unitary part of the
+    Bures measure for the given spectrum.
+    """
+    rho = state_from_chart(spectrum, sample_flag_chart(spectrum, rng))
+    return SampleRecord("coset", rng.stream_index, rho)
 
 
 @pytest.fixture

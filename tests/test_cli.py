@@ -357,6 +357,24 @@ def test_compare_prints_nothing_before_an_io_failure(tmp_path, capsys):
     assert captured.err.startswith("I/O error:")
 
 
+@pytest.mark.parametrize("spelling", ["relative", "absolute"])
+@pytest.mark.parametrize("clobbered", ["a.csv", "b.csv"])
+def test_compare_refuses_an_input_as_its_pairs_path(tmp_path, monkeypatch, capsys, clobbered, spelling):
+    # the inputs are named relative to the working directory, the sidecar path in either spelling
+    run_sample(tmp_path, "a.csv")
+    run_sample(tmp_path, "b.csv", "--method", "haar")
+    before = {name: (tmp_path / name).read_bytes() for name in ("a.csv", "b.csv")}
+    monkeypatch.chdir(tmp_path)
+    target = clobbered if spelling == "relative" else str(tmp_path / clobbered)
+    capsys.readouterr()
+    assert main(["compare", "a.csv", "b.csv", "--pairs-out", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --pairs-out {target} is the input file {clobbered}; it would be overwritten\n"
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+
+
 def _write_text(name, text):
     def make(tmp_path):
         path = tmp_path / name

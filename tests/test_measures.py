@@ -23,9 +23,9 @@ from bures.measures import (
     hermitian_eig,
     lambda_factor,
 )
-from bures.sampling import RngStream, sample_haar_unitary, sample_state_haar
+from bures.sampling import RngStream, sample_haar_unitary
 
-from conftest import one_sample_ks, random_hermitian
+from conftest import one_sample_ks, random_hermitian, sample_state_haar
 
 
 # ------------------------------------------------------------- eigensolver

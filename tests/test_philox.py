@@ -23,8 +23,9 @@ from bures.sampling import (
     batch_sample,
     coset_ladder,
     sample_ball,
-    sample_flag_chart,
 )
+
+from conftest import sample_flag_chart
 
 MASK = 2**64 - 1
 MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)

@@ -15,16 +15,13 @@ from bures.sampling import (
     coset_ladder,
     qr_decompose,
     sample_ball,
-    sample_flag_chart,
     sample_haar_unitary,
     sample_interior_point,
-    sample_state_coset,
-    sample_state_haar,
     state_from_chart,
 )
 from bures.stats import ks_two_sample
 
-from conftest import one_sample_ks
+from conftest import one_sample_ks, sample_flag_chart, sample_state_coset, sample_state_haar
 
 
 # -------------------------------------------------------------------- streams
