@@ -5,6 +5,7 @@ check, 2 invalid input, 3 I/O failure.
 """
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -208,8 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main builds once per process; each parse_args call fills a new namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except BuresError as exc:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 import warnings
 
@@ -21,6 +22,9 @@ from .sampling import BLOCK_BYTES, METHODS, SampleRecord, StateBatch, block_reco
 #: the matrix diagonal, the two copies a record file holds. The test is
 #: ``<= OBSERVABLE_TOL``, so a NaN cell is rejected too.
 OBSERVABLE_TOL = 1e-12
+
+#: Suffixes on which numpy's opener decompresses a file np.loadtxt is given by name.
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _csv_header(n: int) -> list:
@@ -254,25 +258,35 @@ def _row_blocks(rows, n: int):
         yield n, list(methods), list(indices), buffer[: len(methods)]
 
 
-def _c_pass(handle, dtype, columns):
-    """The rest of a plain CSV ``handle`` as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
+def _c_pass(path, skip: int, dtype, columns):
+    """A plain CSV after ``skip`` lines as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
 
+    numpy reads a file by name in large chunks (a handle, line by line). Only a
+    ``str`` or ``PathLike`` name whose suffix numpy does not decompress is
+    taken, made absolute: a relative one may parse as a URL numpy downloads.
     A cell ``dtype`` does not take or a warning fails the pass.
     """
+    name = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if not isinstance(name, str) or os.path.splitext(name)[1] in _DECOMPRESSED:
+        return None
     try:
         with warnings.catch_warnings():
             # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
             warnings.simplefilter("error")
-            return np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, usecols=columns, ndmin=1)
+            return np.loadtxt(os.path.abspath(name), dtype, delimiter=",", comments=None, skiprows=skip,
+                              usecols=columns, ndmin=1, encoding="utf-8-sig")
     except (ValueError, Warning):
         return None  # the caller's row parser then raises, with no loadtxt context
 
 
 class _CsvData:
-    """A CSV file past its header, the first non-blank row or None: the one step both CSV readers take."""
+    """A CSV file past its header, the first non-blank row or None: the one step both CSV readers take.
+
+    The C pass reads the file anew by name, so the csv reader stays past the header for the row parser.
+    """
 
     def __init__(self, handle, plain: bool, path):
-        self.handle, self.plain, self.path, self.reader = handle, plain, path, csv.reader(handle)
+        self.plain, self.path, self.reader = plain, path, csv.reader(handle)
         with _csv_errors(self.reader, path):  # as among data rows, a row of spaces is not blank
             self.header = next(filter(None, self.reader), None)
 
@@ -280,14 +294,10 @@ class _CsvData:
         """(C-pass table, None) of the ``labels`` columns if a plain file's pass is clean and ``taken(table)``
         holds, else (None, ``_picked_cells``' rows), which raise naming the line."""
         columns = _label_columns(self.header, labels, self.path)
-        table = _c_pass(self.handle, dtype, columns) if self.plain else None
+        # every row of a plain file is one line, a blank one too, so the header ends at the reader's line count
+        table = _c_pass(self.path, self.reader.line_num, dtype, columns) if self.plain else None
         if table is not None and (taken is None or taken(table)):
             return table, None
-        if self.plain:  # back to where the csv reader stood before the pass read on
-            self.handle.seek(0)
-            # with no quote in the file every row is one line, and csv reads a line of
-            # a line break alone as a blank row, so the reader's line count holds
-            next(line for line in self.handle if line.strip("\r\n"))
         return None, _picked_cells(self.reader, self.header, columns, self.path)
 
 

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bures.cli
 import bures.records
 from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
@@ -375,6 +377,56 @@ def test_compare_refuses_an_input_as_its_pairs_path(tmp_path, monkeypatch, capsy
     assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
 
 
+def new_files(where, before):
+    return {name: (where / name).read_bytes() for name in set(os.listdir(where)) - before}
+
+
+def run_main_in(where, argv, capsys):
+    """(stdout, exit code, {new file: bytes}) of one in-process ``main(argv)`` run in directory ``where``."""
+    before = set(os.listdir(where))
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    return capsys.readouterr().out, code, new_files(where, before)
+
+
+def run_alone_in(where, argv):
+    """``run_main_in``'s triple for ``argv`` run alone, in a new ``python -m bures.cli`` process."""
+    before = set(os.listdir(where))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bures.cli", *argv], cwd=where, capture_output=True, text=True, env=cli_env(), timeout=60
+    )
+    return proc.stdout, proc.returncode, new_files(where, before)
+
+
+def test_main_calls_in_one_process_give_what_each_gives_alone(tmp_path, monkeypatch, capsys):
+    # main parses every call with the one parser it builds; no value parsed for one call reaches the next
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), 200, 2), shared / "b.csv", "csv")
+    calls = [
+        ["sample", "--spectrum", SPEC3, "--method", "coset", "--count", "200", "--seed", "5", "-o", "a.csv"],
+        ["compare", "a.csv", "b.csv", "--column", "rho_22", "--pairs-out", "p.csv"],
+        ["compare", "a.csv", "--column", "rho_11"],
+        ["compare", "a.csv", "b.csv"],
+        ["compare", "a.csv", "b.csv", "--pairs-out", "q.csv"],
+    ]
+    monkeypatch.chdir(shared)
+    in_turn = [run_main_in(shared, argv, capsys) for argv in calls]
+    assert [code for _, code, _ in in_turn] == [0, 0, 2, 0, 0]
+    assert [sorted(made) for _, _, made in in_turn] == [["a.csv"], ["p.csv"], [], ["a_vs_b_pairs.csv"], ["q.csv"]]
+    for k, argv in enumerate(calls):
+        alone = tmp_path / f"alone{k}"
+        alone.mkdir()
+        for name in ("a.csv", "b.csv") if k else ("b.csv",):
+            (alone / name).write_bytes((shared / name).read_bytes())
+        assert run_alone_in(alone, argv) == in_turn[k], argv
+    args = bures.cli._parser().parse_args(["compare", "a.csv", "b.csv"])
+    assert (args.column, args.pairs_out) == ("rho_33", None)
+
+
 def _write_text(name, text):
     def make(tmp_path):
         path = tmp_path / name
@@ -405,6 +457,12 @@ def _output(name):
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env():
+    """This environment, with the package's sources first on PYTHONPATH, for ``python -m bures.cli``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+
 
 #: A 100-level spectrum with distinct eigenvalues j/5050.
 SPEC100 = ",".join(repr(j / 5050) for j in range(1, 101))
@@ -511,9 +569,8 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
     path = make_file(tmp_path) if make_file else None
     args = [a.replace("{f}", path) if path else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "bures.cli", *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "bures.cli", *args], capture_output=True, text=True, env=cli_env(), timeout=60
     )
     assert proc.returncode == code, proc.stderr
     if code == 0:
@@ -1015,7 +1072,7 @@ def read_rho_33(path):
     return read_column(path, "rho_33")
 
 
-def no_c_pass(handle, dtype, columns):
+def no_c_pass(path, skip, dtype, columns):
     return None
 
 
@@ -1118,8 +1175,10 @@ def test_a_csv_of_line_breaks_alone_reads_as_an_empty_file(tmp_path, text):
         ([0.5, 0.375, 0.125], 3700, ""),
         ([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05, 0.0, 0.0, 0.0], 400, ""),
         ([0.5, 0.375, 0.125], 600, "\r\n\n"),
+        ([0.5, 0.375, 0.125], 600, "\ufeff"),
+        ([0.5, 0.375, 0.125], 600, "\ufeff\r\n\n"),
     ],
-    ids=["n3-three-blocks", "n10-zero-block", "n3-blank-lines-first"],
+    ids=["n3-three-blocks", "n10-zero-block", "n3-blank-lines-first", "n3-bom", "n3-bom-blank-lines-first"],
 )
 def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count, lead):
     out = tmp_path / "written.csv"
@@ -1134,6 +1193,56 @@ def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count, lead
         assert not hasattr(obj, "__dict__"), type(obj)
     for label in records[0].observables:
         assert same_bits(read_column(out, label), np.array([r.observables[label] for r in records]))
+
+
+def plain_csv(path):
+    """A 50-record plain N=3 CSV at ``path``."""
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 50, 4), path, "csv")
+    return path
+
+
+def assert_same_reads(got_path, want_path):
+    """``got_path`` gives the records and every rho_jj column of ``want_path``, bit for bit."""
+    want = read_records(want_path)
+    assert_records_identical(read_records(got_path), want)
+    for label in want[0].observables:
+        assert same_bits(read_column(got_path, label), read_column(want_path, label))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_suffix_numpy_decompresses_reads_as_the_plain_file(tmp_path, suffix):
+    # np.loadtxt would decompress a file of this name; the row parser reads its text
+    plain = plain_csv(tmp_path / "x.csv")
+    named = tmp_path / f"x.csv{suffix}"
+    named.write_bytes(plain.read_bytes())
+    assert_same_reads(named, plain)
+
+
+def test_the_decompressed_suffixes_are_numpys():
+    assert set(bures.records._DECOMPRESSED) == set(np.lib._datasource._file_openers.keys()) - {None}
+
+
+def test_a_relative_name_that_parses_as_a_url_reads_the_local_file(tmp_path, monkeypatch):
+    def no_urlopen(*args, **kwargs):
+        raise AssertionError("a record file was opened as a URL")
+
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    local = plain_csv(tmp_path / "http:" / "host" / "x.csv")
+    monkeypatch.setattr(urllib.request, "urlopen", no_urlopen)
+    monkeypatch.setattr(bures.records, "_csv_rows", no_row_parser)  # the name, made absolute, takes the C pass
+    monkeypatch.setattr(bures.records, "_picked_cells", no_row_parser)
+    monkeypatch.chdir(tmp_path)
+    assert_same_reads("http://host/x.csv", str(local))
+
+
+def test_bytes_and_path_names_read_as_a_str_name(tmp_path, monkeypatch):
+    plain = plain_csv(tmp_path / "x.csv")
+    assert_same_reads(os.fsencode(plain), str(plain))  # a bytes name goes to the row parser
+    want = read_records(str(plain))
+    monkeypatch.setattr(bures.records, "_csv_rows", no_row_parser)
+    monkeypatch.setattr(bures.records, "_picked_cells", no_row_parser)
+    assert_records_identical(read_records(plain), want)
+    assert same_bits(read_column(plain, "rho_33"), read_column(str(plain), "rho_33"))
 
 
 @pytest.mark.parametrize("index", ["1.5", "true", '"7"', "null"])
