@@ -261,9 +261,9 @@ def _row_blocks(rows, n: int):
 def _c_pass(path, skip: int, dtype, columns):
     """A plain CSV after ``skip`` lines as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
 
-    numpy reads a file by name in large chunks (a handle, line by line). Only a
-    ``str`` or ``PathLike`` name whose suffix numpy does not decompress is
-    taken, made absolute: a relative one may parse as a URL numpy downloads.
+    numpy reads a file by name in large chunks (a handle, line by line). Only a ``str`` or ``PathLike``
+    name whose suffix numpy does not decompress is taken, joined to the working directory (a relative one
+    may parse as a URL numpy downloads) but not cleaned up: past a symlink, ``..`` is not a textual step.
     A cell ``dtype`` does not take or a warning fails the pass.
     """
     name = os.fspath(path) if isinstance(path, os.PathLike) else path
@@ -273,7 +273,7 @@ def _c_pass(path, skip: int, dtype, columns):
         with warnings.catch_warnings():
             # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
             warnings.simplefilter("error")
-            return np.loadtxt(os.path.abspath(name), dtype, delimiter=",", comments=None, skiprows=skip,
+            return np.loadtxt(os.path.join(os.getcwd(), name), dtype, delimiter=",", comments=None, skiprows=skip,
                               usecols=columns, ndmin=1, encoding="utf-8-sig")
     except (ValueError, Warning):
         return None  # the caller's row parser then raises, with no loadtxt context

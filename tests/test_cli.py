@@ -1235,6 +1235,28 @@ def test_a_relative_name_that_parses_as_a_url_reads_the_local_file(tmp_path, mon
     assert_same_reads("http://host/x.csv", str(local))
 
 
+@pytest.mark.parametrize("decoy", [True, False], ids=["decoy", "no-decoy"])
+@pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+def test_a_name_with_dotdot_past_a_symlink_reads_the_file_the_kernel_opens(tmp_path, monkeypatch, decoy, relative):
+    # data/link/../a.csv opens runs/r1/a.csv; cleaned up as text, the name would be data/a.csv
+    (tmp_path / "runs" / "r1" / "out").mkdir(parents=True)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "link").symlink_to(tmp_path / "runs" / "r1" / "out", target_is_directory=True)
+    real = plain_csv(tmp_path / "runs" / "r1" / "a.csv")
+    want = read_records(real)
+    if decoy:  # same header, other rows
+        write_records(batch_sample("haar", Spectrum([0.5, 0.375, 0.125]), 50, 5), tmp_path / "data" / "a.csv", "csv")
+    monkeypatch.setattr(bures.records, "_csv_rows", no_row_parser)  # the name takes the C pass
+    monkeypatch.setattr(bures.records, "_picked_cells", no_row_parser)
+    monkeypatch.chdir(tmp_path)
+    name = os.path.join("data", "link", "..", "a.csv")
+    if not relative:
+        name = os.path.join(str(tmp_path), name)
+    assert_records_identical(read_records(name), want)
+    for label in want[0].observables:
+        assert same_bits(read_column(name, label), np.array([r.observables[label] for r in want]))
+
+
 def test_bytes_and_path_names_read_as_a_str_name(tmp_path, monkeypatch):
     plain = plain_csv(tmp_path / "x.csv")
     assert_same_reads(os.fsencode(plain), str(plain))  # a bytes name goes to the row parser
