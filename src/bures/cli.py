@@ -87,6 +87,9 @@ def cmd_volume(args) -> int:
 
 def cmd_compare(args) -> int:
     a_path, b_path, pairs_out = args.file_a, args.file_b, args.pairs_out
+    # read first: an input with no file name (".", "/") fails here, before the sidecar's name is made of it
+    a = read_column(a_path, args.column)
+    b = read_column(b_path, args.column)
     if pairs_out is None:
         stem_a = Path(a_path).stem
         stem_b = Path(b_path).stem
@@ -94,8 +97,6 @@ def cmd_compare(args) -> int:
     for path in (a_path, b_path):
         if Path(pairs_out).exists() and Path(path).exists() and Path(pairs_out).samefile(path):
             raise UsageError(f"--pairs-out {pairs_out} is the input file {path}; it would be overwritten")
-    a = read_column(a_path, args.column)
-    b = read_column(b_path, args.column)
     result = ks_two_sample(a, b)
     # the sidecar is written before any of the report, so an I/O failure prints none of it
     if a.size == b.size:

@@ -206,8 +206,8 @@ def read_records(path) -> list:
     line where it is known.
     """
     records = []
-    with _record_file(path) as (handle, form, plain):
-        for n, methods, indices, numbers in form.blocks(handle, plain, path):
+    with _record_file(path) as (handle, form, name):
+        for n, methods, indices, numbers in form.blocks(handle, name, path):
             records += _checked_block(n, methods, indices, numbers, len(records))
     return records
 
@@ -258,22 +258,17 @@ def _row_blocks(rows, n: int):
         yield n, list(methods), list(indices), buffer[: len(methods)]
 
 
-def _c_pass(path, skip: int, dtype, columns):
-    """A plain CSV after ``skip`` lines as one ``np.loadtxt`` table of ``columns``, or None if not taken cleanly.
+def _c_pass(name: str, skip: int, dtype, columns):
+    """``columns`` of a plain CSV after ``skip`` lines as one ``np.loadtxt`` table, or None if not taken cleanly.
 
-    numpy reads a file by name in large chunks (a handle, line by line). Only a ``str`` or ``PathLike``
-    name whose suffix numpy does not decompress is taken, joined to the working directory (a relative one
-    may parse as a URL numpy downloads) but not cleaned up: past a symlink, ``..`` is not a textual step.
+    numpy reads the file anew by ``name``, ``_record_file``'s, in large chunks (a handle, line by line).
     A cell ``dtype`` does not take or a warning fails the pass.
     """
-    name = os.fspath(path) if isinstance(path, os.PathLike) else path
-    if not isinstance(name, str) or os.path.splitext(name)[1] in _DECOMPRESSED:
-        return None
     try:
         with warnings.catch_warnings():
             # a warning (no data rows; older numpy reading "7.0" as an int) is a file not taken cleanly
             warnings.simplefilter("error")
-            return np.loadtxt(os.path.join(os.getcwd(), name), dtype, delimiter=",", comments=None, skiprows=skip,
+            return np.loadtxt(name, dtype, delimiter=",", comments=None, skiprows=skip,
                               usecols=columns, ndmin=1, encoding="utf-8-sig")
     except (ValueError, Warning):
         return None  # the caller's row parser then raises, with no loadtxt context
@@ -282,36 +277,37 @@ def _c_pass(path, skip: int, dtype, columns):
 class _CsvData:
     """A CSV file past its header, the first non-blank row or None: the one step both CSV readers take.
 
-    The C pass reads the file anew by name, so the csv reader stays past the header for the row parser.
+    The C pass reads the file anew by ``name`` (``_record_file``'s; None takes none), so the csv reader stays
+    past the header for the row parser.
     """
 
-    def __init__(self, handle, plain: bool, path):
-        self.plain, self.path, self.reader = plain, path, csv.reader(handle)
+    def __init__(self, handle, name, path):
+        self.name, self.path, self.reader = name, path, csv.reader(handle)
         with _csv_errors(self.reader, path):  # as among data rows, a row of spaces is not blank
             self.header = next(filter(None, self.reader), None)
 
     def cells(self, labels: list, dtype, taken=None):
-        """(C-pass table, None) of the ``labels`` columns if a plain file's pass is clean and ``taken(table)``
+        """(C-pass table, None) of the ``labels`` columns if a named file's pass is clean and ``taken(table)``
         holds, else (None, ``_picked_cells``' rows), which raise naming the line."""
         columns = _label_columns(self.header, labels, self.path)
         # every row of a plain file is one line, a blank one too, so the header ends at the reader's line count
-        table = _c_pass(self.path, self.reader.line_num, dtype, columns) if self.plain else None
+        table = None if self.name is None else _c_pass(self.name, self.reader.line_num, dtype, columns)
         if table is not None and (taken is None or taken(table)):
             return table, None
         return None, _picked_cells(self.reader, self.header, columns, self.path)
 
 
-def _csv_blocks(handle, plain: bool, path):
+def _csv_blocks(handle, name, path):
     """(N, methods, indices, numbers array) per block of a CSV record file.
 
-    The data rows of a plain file are parsed in one C pass (``_c_pass``),
+    The data rows of a file with a ``name`` are parsed in one C pass (``_c_pass``),
     whose numbers and integers are Python's ``float`` and ``int`` of the
     texts it accepts. A method cell longer than any method stays unknown,
     however ``loadtxt`` cuts it. Any other file, or one the pass does not
     take cleanly, goes to ``_csv_rows``, which yields the same records or
     raises naming the line.
     """
-    data = _CsvData(handle, plain, path)
+    data = _CsvData(handle, name, path)
     if data.header is None:
         return
     n = _header_levels(data.header, path)
@@ -444,7 +440,7 @@ def _square(rows, n: int) -> bool:
     return type(rows) is list and len(rows) == n and all(type(row) is list and len(row) == n for row in rows)
 
 
-def _jsonl_blocks(handle, plain: bool, path):
+def _jsonl_blocks(handle, name, path):
     """(N, methods, indices, numbers array) per block of a JSONL record file; the first record fixes N."""
     objects = _jsonl_objects(handle, path)
     first = next(objects, None)
@@ -490,19 +486,23 @@ def _jsonl_rows(objects, n: int, path):
 
 @contextlib.contextmanager
 def _record_file(path):
-    """(open handle, its format, whether it is a plain CSV) of a record file.
+    """(open handle, its format, the name the C pass may read it by, or None) of a record file.
 
-    The format is told by content, not name: JSONL if the first non-blank
-    character is "{". A leading byte-order mark is skipped. Text that is not
-    UTF-8 raises UsageError naming the file. A CSV is read through first, in
-    chunks of half ``csv.field_size_limit()`` characters, at most 65,536. It
-    is plain, fit for the C pass, when no chunk holds a quote (csv's quoting)
-    or a NUL (numpy cuts it off a string cell) and every full chunk holds a
-    comma or a line break: a field csv refuses as too long spans a full chunk.
+    Opened once, the file is sniffed and pre-scanned, then rewound: an input that cannot be, such as a pipe,
+    raises UsageError naming it, as does text that is not UTF-8. A descriptor is read and closed; a byte-order
+    mark is skipped. The format is JSONL if the first non-blank character is "{", else CSV. A CSV is read
+    through in chunks of half ``csv.field_size_limit()`` characters, at most 65,536. It is plain when no chunk
+    holds a quote (csv's quoting) or a NUL (numpy cuts it off a string cell) and every full chunk holds a comma
+    or a line break: a field csv refuses as too long spans a full chunk. A plain CSV opened by a ``str`` or
+    ``PathLike`` name whose suffix numpy does not decompress gets that name, joined to the working directory
+    (a relative one may parse as a URL numpy downloads) but not cleaned up: past a symlink, ``..`` is not a
+    textual step.
     """
     size = max(1, min(csv.field_size_limit() // 2, 65536))
     try:
         with open(path, encoding="utf-8-sig") as handle:
+            if not handle.seekable():
+                raise UsageError(f"{path}: cannot be rewound; record files are read from regular files")
             chunks = iter(lambda: handle.read(size), "")
             head = next(filter(str.strip, chunks), "")
             form = _JSONL if head.lstrip().startswith("{") else _CSV
@@ -511,8 +511,11 @@ def _record_file(path):
                 '"' not in chunk and "\0" not in chunk and ("," in chunk or "\n" in chunk or len(chunk) < size)
                 for chunk in itertools.chain((head,), chunks)
             )
-        with open(path, encoding="utf-8-sig", newline=form.newline) as handle:
-            yield handle, form, plain
+            name = handle.name  # a str for a str or PathLike path, bytes or the descriptor otherwise
+            taken = plain and isinstance(name, str) and os.path.splitext(name)[1] not in _DECOMPRESSED
+            handle.seek(0)
+            handle.reconfigure(newline=form.newline)
+            yield handle, form, os.path.join(os.getcwd(), name) if taken else None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -529,8 +532,8 @@ def read_column(path, column: str) -> np.ndarray:
     """
     if not _OBSERVABLE_LABEL.fullmatch(column):
         raise UsageError(f"column {column!r} is not a rho_jj observable")
-    with _record_file(path) as (handle, form, plain):
-        cells = form.column(handle, plain, path, column)
+    with _record_file(path) as (handle, form, name):
+        cells = form.column(handle, name, path, column)
     if isinstance(cells, np.ndarray):
         return cells
     if not cells:
@@ -538,16 +541,16 @@ def read_column(path, column: str) -> np.ndarray:
     return np.array([_cell_value(cell, column, path) for cell in cells])
 
 
-def _csv_column(handle, plain: bool, path, column: str):
+def _csv_column(handle, name, path, column: str):
     """The C pass's finite values of a CSV ``column``, or else its cells."""
-    data = _CsvData(handle, plain, path)
+    data = _CsvData(handle, name, path)
     if data.header is None:
         return []
     values, rows = data.cells([column], float, lambda values: np.isfinite(values).all())
     return values if values is not None else [cell for _, cell in rows]
 
 
-def _jsonl_column(handle, plain: bool, path, column: str) -> list:
+def _jsonl_column(handle, name, path, column: str) -> list:
     return [_observable(payload, column, path) for _, payload in _jsonl_objects(handle, path, _decode_observables)]
 
 

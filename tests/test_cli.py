@@ -552,6 +552,11 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-numeric value '0.25'"),
         (_write_text("str.jsonl", '{"observables": {"rho_11": 0.5}}\n{"observables": {"rho_11": " 1_0e-1 "}}\n'),
          ["compare", "{f}", "{f}", "--column", "rho_11"], 2, "non-numeric value ' 1_0e-1 '"),
+        # a first input with no file name is read, and fails, before the sidecar's name is made of it
+        (_write_text("a.csv", "method,index,rho_33\ncoset,0,0.25\ncoset,1,0.5\n"),
+         ["compare", ".", "{f}"], 3, "Is a directory: '.'"),
+        (_write_text("a.csv", "method,index,rho_33\ncoset,0,0.25\ncoset,1,0.5\n"),
+         ["compare", "/", "{f}"], 3, "Is a directory: '/'"),
     ],
     ids=[
         "compare-non-numeric-csv", "compare-nan-csv", "compare-empty-jsonl", "compare-malformed-jsonl",
@@ -564,6 +569,7 @@ def _sample_argv(spectrum, count, seed="0", method="coset"):
         "compare-deep-jsonl", "compare-overlong-csv-field", "compare-jsonl-int-5000-digits",
         "compare-index-csv", "compare-re-1-2-csv", "compare-index-jsonl", "compare-re-1-2-jsonl",
         "compare-duplicate-rho-11-csv", "compare-string-jsonl", "compare-string-1_0e-1-jsonl",
+        "compare-dot-first", "compare-root-first",
     ],
 )
 def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
@@ -579,7 +585,7 @@ def test_cli_module_exit_codes(tmp_path, make_file, argv, code, says):
     else:
         assert proc.stdout == ""
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.startswith("I/O error: " if code == bures.cli.EXIT_IO else "error: ")
         assert says is None or says in proc.stderr, proc.stderr
 
 
@@ -1072,7 +1078,7 @@ def read_rho_33(path):
     return read_column(path, "rho_33")
 
 
-def no_c_pass(path, skip, dtype, columns):
+def no_c_pass(name, skip, dtype, columns):
     return None
 
 
@@ -1195,10 +1201,15 @@ def test_written_csv_takes_the_c_pass(tmp_path, monkeypatch, values, count, lead
         assert same_bits(read_column(out, label), np.array([r.observables[label] for r in records]))
 
 
+def written(path, fmt, count):
+    """A ``count``-record N=3 file of format ``fmt`` at ``path``."""
+    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), count, 4), path, fmt)
+    return path
+
+
 def plain_csv(path):
     """A 50-record plain N=3 CSV at ``path``."""
-    write_records(batch_sample("coset", Spectrum([0.5, 0.375, 0.125]), 50, 4), path, "csv")
-    return path
+    return written(path, "csv", 50)
 
 
 def assert_same_reads(got_path, want_path):
@@ -1265,6 +1276,72 @@ def test_bytes_and_path_names_read_as_a_str_name(tmp_path, monkeypatch):
     monkeypatch.setattr(bures.records, "_picked_cells", no_row_parser)
     assert_records_identical(read_records(plain), want)
     assert same_bits(read_column(plain, "rho_33"), read_column(str(plain), "rho_33"))
+
+
+def no_c_pass_at_all(*args):
+    raise AssertionError("a file without a name took the C pass")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_descriptor_reads_as_its_path_and_is_closed(tmp_path, monkeypatch, fmt):
+    path = written(tmp_path / f"x.{fmt}", fmt, 50)
+    want = read_records(path)
+    columns = {label: read_column(path, label) for label in want[0].observables}
+    monkeypatch.setattr(bures.records, "_c_pass", no_c_pass_at_all)  # a descriptor has no name to read by
+    fd = os.open(path, os.O_RDONLY)
+    assert_records_identical(read_records(fd), want)
+    with pytest.raises(OSError):
+        os.fstat(fd)
+    for label, column in columns.items():
+        fd = os.open(path, os.O_RDONLY)
+        assert same_bits(read_column(fd, label), column)
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def piped(path):
+    """The read end of a pipe that holds the bytes of ``path``, its write end closed."""
+    data = path.read_bytes()
+    assert len(data) < 65536  # fits Linux's pipe buffer, so the write cannot block
+    r, w = os.pipe()
+    with open(w, "wb") as end:
+        end.write(data)
+    return r
+
+
+on_linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="names a descriptor as /dev/fd/N")
+
+
+@pytest.mark.parametrize("by_name", [False, pytest.param(True, marks=on_linux)], ids=["descriptor", "dev-fd"])
+@pytest.mark.parametrize("read", [read_records, read_rho_33], ids=["read_records", "read_column"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_pipe_is_refused_naming_it(tmp_path, fmt, read, by_name):
+    r = piped(written(tmp_path / f"x.{fmt}", fmt, 20))
+    name = f"/dev/fd/{r}" if by_name else r
+    try:
+        with pytest.raises(UsageError, match=f"^{name}: cannot be rewound"):
+            read(name)
+    finally:
+        if by_name:
+            os.close(r)
+
+
+@on_linux
+def test_compare_refuses_pipes_in_one_line(tmp_path, monkeypatch, capsys):
+    ends = [piped(written(tmp_path / f"{k}.csv", "csv", 20)) for k in "ab"]
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(["compare", *(f"/dev/fd/{r}" for r in ends)])
+    finally:
+        for r in ends:
+            os.close(r)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: /dev/fd/{ends[0]}: cannot be rewound; record files are read from regular files"
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]  # no sidecar
 
 
 @pytest.mark.parametrize("index", ["1.5", "true", '"7"', "null"])
