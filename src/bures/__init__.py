@@ -13,7 +13,8 @@ statistical machinery to verify the equivalence.
 from .coset import coset_jacobian_det
 from .errors import BuresError
 from .measures import DensityMatrix, Spectrum
-from .sampling import RngStream, SampleRecord, StateBatch, batch_sample, sample_ball
+from .records import SampleRecord
+from .sampling import RngStream, StateBatch, batch_sample, sample_ball
 from .stats import ks_two_sample
 
 __version__ = "0.1.0"

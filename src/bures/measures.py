@@ -10,12 +10,11 @@ element carries the factor prod_{j<k} (lambda_j - lambda_k)^2 / (lambda_j +
 lambda_k) over 2^(N-2) sqrt(lambda_1 ... lambda_N); the angular part is the
 flag-manifold volume computed here in two common normalizations.
 
-The state types come with their stacked twins: ``density_matrices`` is
-``DensityMatrix.from_matrix`` (through the checked ``hermitian_eig``) over a
-stack, and ``store_states`` is ``from_eigensystem``.
+The state types come with their stacked twins on arrays: ``density_matrices``
+is ``DensityMatrix.from_matrix`` (through the checked ``hermitian_eig``) over
+a stack, and ``store_states`` is ``from_eigensystem``.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -192,23 +191,6 @@ class DensityMatrix:
         return self.spectrum.n_levels
 
 
-def _prechecked(cls, **columns) -> list:
-    """Instances of a slotted frozen dataclass, one per row of the field ``columns``.
-
-    Skips ``__post_init__``: the caller's block check has passed every row on
-    every check that can fail (see ``density_matrices``), and re-running the
-    checks record by record would cost most of what it saves. Each field is
-    stored through its slot descriptor, which bypasses the frozen
-    ``__setattr__`` as ``object.__setattr__`` does, one C-level ``map`` per
-    field.
-    """
-    count = len(next(iter(columns.values())))
-    objs = list(map(object.__new__, itertools.repeat(cls, count)))
-    for name, column in columns.items():
-        list(map(getattr(cls, name).__set__, objs, column))
-    return objs
-
-
 def raise_first_failure(checks, start: int) -> None:
     """Raise for the first record that fails any check, with the first check it fails.
 
@@ -223,22 +205,24 @@ def raise_first_failure(checks, start: int) -> None:
         raise error(f"record {start + row}: {message}")
 
 
-def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
-    """``DensityMatrix.from_matrix`` of every matrix in a (count, N, N) stack.
+def density_matrices(matrices: np.ndarray, start: int, after) -> tuple:
+    """(values, bases) of ``DensityMatrix.from_matrix`` of every matrix in a (count, N, N) stack.
 
-    One stacked eigh runs on (h + h†)/2, the recipe of ``hermitian_eig``, so
-    spectra and bases equal the per-matrix path bit for bit. The checks of
-    ``hermitian_eig``, ``Spectrum`` and ``DensityMatrix`` on the matrices' own
-    numbers run vectorized against the same tolerances, followed by the
-    caller's ``after`` triples (see ``raise_first_failure``); the first failing
-    record is named, counting from ``start``. One finiteness mask and one norm
-    of h - h† serve every finiteness and Hermiticity row, except that a matrix
-    with a part above 1, whose norms may overflow, takes ``hermitian_eig``'s
-    scaled relative test. ``DensityMatrix``'s rows on eigh's own output are
-    left out: Hermitian eigh is backward stable, so its basis is unitary to
-    rounding, and the reconstruction misses h by at most the clipped
-    eigenvalues in [-1e-12, 0), sqrt(N - 1) * 1e-12, plus half the skew,
-    0.5e-12, which is below STATE_RECON_TOL for N < 9,900.
+    They are the arrays ``Spectrum`` and ``DensityMatrix`` store: descending
+    spectra (count, N) and eigenbases (count, N, N). One stacked eigh runs on
+    (h + h†)/2, the recipe of ``hermitian_eig``, so spectra and bases equal
+    the per-matrix path bit for bit. The checks of ``hermitian_eig``,
+    ``Spectrum`` and ``DensityMatrix`` on the matrices' own numbers run
+    vectorized against the same tolerances, followed by the caller's ``after``
+    triples (see ``raise_first_failure``); the first failing record is named,
+    counting from ``start``. One finiteness mask and one norm of h - h† serve
+    every finiteness and Hermiticity row, except that a matrix with a part
+    above 1, whose norms may overflow, takes ``hermitian_eig``'s scaled
+    relative test. ``DensityMatrix``'s rows on eigh's own output are left out:
+    Hermitian eigh is backward stable, so its basis is unitary to rounding,
+    and the reconstruction misses h by at most the clipped eigenvalues in
+    [-1e-12, 0), sqrt(N - 1) * 1e-12, plus half the skew, 0.5e-12, which is
+    below STATE_RECON_TOL for N < 9,900.
     """
     finite = np.isfinite(matrices).all(axis=(1, 2))
     # non-finite rows fail the first check; zeros keep them out of LAPACK
@@ -275,8 +259,7 @@ def density_matrices(matrices: np.ndarray, start: int = 0, after=()) -> list:
         ]
     values = np.sort(np.clip(w, 0.0, None), axis=1)[:, ::-1].copy()
     raise_first_failure(checks + list(after), start)
-    spectra = _prechecked(Spectrum, values=values)
-    return _prechecked(DensityMatrix, matrix=matrices, spectrum=spectra, basis=v[:, :, ::-1])
+    return values, v[:, :, ::-1]
 
 
 def store_states(spectrum: Spectrum, bases: np.ndarray, out: np.ndarray, start: int) -> None:

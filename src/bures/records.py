@@ -10,13 +10,14 @@ import operator
 import os
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _floattext
 from .errors import UsageError
-from .measures import _prechecked, density_matrices
-from .sampling import BLOCK_BYTES, METHODS, SampleRecord, StateBatch, block_records, observable_labels
+from .measures import DensityMatrix, Spectrum, density_matrices
+from .sampling import BLOCK_BYTES, METHODS, StateBatch, block_records
 
 #: Largest difference read_records accepts between a file's rho_jj cell and
 #: the matrix diagonal, the two copies a record file holds. The test is
@@ -25,6 +26,36 @@ OBSERVABLE_TOL = 1e-12
 
 #: Suffixes on which numpy's opener decompresses a file np.loadtxt is given by name.
 _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+#: The labels read_column takes: rho_jj observables, j from 1.
+_OBSERVABLE_LABEL = re.compile(r"rho_([1-9][0-9]*)\1")
+
+
+def observable_labels(n_levels: int) -> list:
+    """The rho_jj observable labels "rho_11", "rho_22", ..., in order."""
+    return [f"rho_{j}{j}" for j in range(1, n_levels + 1)]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SampleRecord:
+    """One sampled state: its method, its stream index and the state itself.
+
+    Its rho_jj observables are the real diagonal entries of the state, so
+    ``observables`` derives them rather than storing a second copy.
+    """
+
+    method: str
+    index: int
+    rho: DensityMatrix
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown sampling method {self.method!r}")
+
+    @property
+    def observables(self) -> dict:
+        """``observable_labels`` mapped to the real diagonal entries, in label order."""
+        return dict(zip(observable_labels(self.rho.n_levels), np.diagonal(self.rho.matrix).real.tolist()))
 
 
 def _csv_header(n: int) -> list:
@@ -219,7 +250,8 @@ def _checked_block(n: int, methods: list, indices: list, numbers: np.ndarray, st
     the file's rho_jj cells. One vectorized pass runs the checks of
     ``DensityMatrix.from_matrix`` and ``SampleRecord``, then the file's own:
     each rho_jj cell is within OBSERVABLE_TOL of the matrix diagonal, from
-    which the records derive it.
+    which the records derive it. Then the block's objects are built here from
+    ``density_matrices``' arrays, unchecked (``_prechecked``).
     """
     nn = n * n
     shape = (len(numbers), n, n)
@@ -234,8 +266,27 @@ def _checked_block(n: int, methods: list, indices: list, numbers: np.ndarray, st
         (np.array([m not in METHODS for m in methods], dtype=bool), ValueError, "unknown sampling method"),
         (off, ValueError, "rho_jj observables inconsistent with the state"),
     ]
-    rhos = density_matrices(matrices, start, after)
+    values, bases = density_matrices(matrices, start, after)
+    spectra = _prechecked(Spectrum, values=values)
+    rhos = _prechecked(DensityMatrix, matrix=matrices, spectrum=spectra, basis=bases)
     return _prechecked(SampleRecord, method=methods, index=indices, rho=rhos)
+
+
+def _prechecked(cls, **columns) -> list:
+    """Instances of a slotted frozen dataclass, one per row of the field ``columns``.
+
+    Skips ``__post_init__``, which it may because ``_checked_block``'s block
+    check has passed every row on every check that can fail (see
+    ``density_matrices``); re-running the checks record by record would cost
+    most of what it saves. Each field is stored through its slot descriptor,
+    which bypasses the frozen ``__setattr__`` as ``object.__setattr__`` does,
+    one C-level ``map`` per field.
+    """
+    count = len(next(iter(columns.values())))
+    objs = list(map(object.__new__, itertools.repeat(cls, count)))
+    for name, column in columns.items():
+        list(map(getattr(cls, name).__set__, objs, column))
+    return objs
 
 
 def _row_blocks(rows, n: int):
@@ -488,19 +539,20 @@ def _jsonl_rows(objects, n: int, path):
 def _record_file(path):
     """(open handle, its format, the name the C pass may read it by, or None) of a record file.
 
-    Opened once, the file is sniffed and pre-scanned, then rewound: an input that cannot be, such as a pipe,
-    raises UsageError naming it, as does text that is not UTF-8. A descriptor is read and closed; a byte-order
-    mark is skipped. The format is JSONL if the first non-blank character is "{", else CSV. A CSV is read
-    through in chunks of half ``csv.field_size_limit()`` characters, at most 65,536. It is plain when no chunk
-    holds a quote (csv's quoting) or a NUL (numpy cuts it off a string cell) and every full chunk holds a comma
-    or a line break: a field csv refuses as too long spans a full chunk. A plain CSV opened by a ``str`` or
-    ``PathLike`` name whose suffix numpy does not decompress gets that name, joined to the working directory
-    (a relative one may parse as a URL numpy downloads) but not cleaned up: past a symlink, ``..`` is not a
-    textual step.
+    Opened once, the file is sniffed and pre-scanned, then rewound: an input that cannot be, such as a pipe or a
+    FIFO (opened without blocking, so one with no writer is refused at once), raises UsageError naming it, as
+    does text that is not UTF-8. A descriptor is read and closed; a byte-order mark is skipped. The format is
+    JSONL if the first non-blank character is "{", else CSV. A CSV is read through in chunks of half
+    ``csv.field_size_limit()`` characters, at most 65,536. It is plain when no chunk holds a quote (csv's
+    quoting) or a NUL (numpy cuts it off a string cell) and every full chunk holds a comma or a line break: a
+    field csv refuses as too long spans a full chunk. A plain CSV opened by a ``str`` or ``PathLike`` name whose
+    suffix numpy does not decompress gets that name, joined to the working directory (a relative one may parse
+    as a URL numpy downloads) but not cleaned up: past a symlink, ``..`` is not a textual step.
     """
     size = max(1, min(csv.field_size_limit() // 2, 65536))
+    nonblock = getattr(os, "O_NONBLOCK", 0)
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with open(path, encoding="utf-8-sig", opener=lambda name, flags: os.open(name, flags | nonblock)) as handle:
             if not handle.seekable():
                 raise UsageError(f"{path}: cannot be rewound; record files are read from regular files")
             chunks = iter(lambda: handle.read(size), "")
@@ -518,10 +570,6 @@ def _record_file(path):
             yield handle, form, os.path.join(os.getcwd(), name) if taken else None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-#: The labels read_column takes: rho_jj observables, j from 1.
-_OBSERVABLE_LABEL = re.compile(r"rho_([1-9][0-9]*)\1")
 
 
 def read_column(path, column: str) -> np.ndarray:

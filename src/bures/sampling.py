@@ -47,11 +47,6 @@ PIVOT_FLOOR = 1e-300
 DIRECTION_FLOOR = 1e-300
 
 
-def observable_labels(n_levels: int) -> list:
-    """The rho_jj observable labels "rho_11", "rho_22", ..., in order."""
-    return [f"rho_{j}{j}" for j in range(1, n_levels + 1)]
-
-
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_index).
 
@@ -99,28 +94,6 @@ class RngStream:
         re = self._generator.standard_normal(shape)
         im = self._generator.standard_normal(shape)
         return (re + 1j * im) * _SQRT_HALF
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class SampleRecord:
-    """One sampled state: its method, its stream index and the state itself.
-
-    Its rho_jj observables are the real diagonal entries of the state, so
-    ``observables`` derives them rather than storing a second copy.
-    """
-
-    method: str
-    index: int
-    rho: DensityMatrix
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown sampling method {self.method!r}")
-
-    @property
-    def observables(self) -> dict:
-        """``observable_labels`` mapped to the real diagonal entries, in label order."""
-        return dict(zip(observable_labels(self.rho.n_levels), np.diagonal(self.rho.matrix).real.tolist()))
 
 
 def sample_ball(dim: int, rng: RngStream) -> BallPoint:

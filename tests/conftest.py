@@ -6,7 +6,8 @@ import pytest
 
 from bures.coset import FlagChart
 from bures.measures import DensityMatrix, Spectrum
-from bures.sampling import SampleRecord, coset_ladder, sample_ball, sample_haar_unitary, state_from_chart
+from bures.records import SampleRecord
+from bures.sampling import coset_ladder, sample_ball, sample_haar_unitary, state_from_chart
 
 
 def one_sample_ks(values, cdf) -> float:

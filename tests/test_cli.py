@@ -15,7 +15,8 @@ import bures.records
 from bures.cli import UsageError, main, read_column, read_records, write_records
 from bures.errors import BuresError, InvalidStateError, NotHermitianError, ShapeError
 from bures.measures import DensityMatrix, Spectrum, eigenvalue_density
-from bures.sampling import SampleRecord, StateBatch, batch_sample
+from bures.records import SampleRecord
+from bures.sampling import StateBatch, batch_sample
 from bures.stats import cumulative_pairs
 
 from conftest import jsonl_column
@@ -1342,6 +1343,36 @@ def test_compare_refuses_pipes_in_one_line(tmp_path, monkeypatch, capsys):
         f"error: /dev/fd/{ends[0]}: cannot be rewound; record files are read from regular files"
     ]
     assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]  # no sidecar
+
+
+#: Both readers, then ``compare``, on argv[1] and argv[2]: each reader's UsageError is printed, and main's code
+#: is the exit code.
+_READ_BOTH_WAYS_THEN_COMPARE = """
+import sys
+from bures.cli import UsageError, main, read_column, read_records
+for read in (read_records, lambda name: read_column(name, "rho_33")):
+    try:
+        read(sys.argv[1])
+    except UsageError as exc:
+        print(exc)
+sys.exit(main(["compare", sys.argv[1], sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named FIFOs")
+def test_a_fifo_with_no_writer_is_refused_at_once(tmp_path):
+    os.mkfifo(tmp_path / "ff")
+    written(tmp_path / "a.csv", "csv", 20)
+    # in a child with a timeout, so that an open waiting for a writer fails the test instead of hanging it
+    proc = subprocess.run(
+        [sys.executable, "-c", _READ_BOTH_WAYS_THEN_COMPARE, "ff", "a.csv"],
+        cwd=tmp_path, capture_output=True, text=True, env=cli_env(), timeout=30,
+    )
+    refused = "ff: cannot be rewound; record files are read from regular files"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.splitlines() == [refused, refused]
+    assert proc.stderr.splitlines() == [f"error: {refused}"]
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "ff"]  # no sidecar
 
 
 @pytest.mark.parametrize("index", ["1.5", "true", '"7"', "null"])
